@@ -24,11 +24,9 @@ use std::process::ExitCode;
 
 use emx_bench::compare::{self, DEFAULT_THRESHOLD_PCT};
 use emx_bench::harness::{Bench, BenchOptions};
-use emx_bench::report::{BenchReport, Environment, PhaseEntry};
+use emx_bench::report::{BenchReport, Environment};
 use emx_bench::suites;
 use emx_core::EmxError;
-use emx_obs::Collector;
-use emx_sim::{Interp, ProcConfig};
 
 struct Options {
     bench: BenchOptions,
@@ -117,39 +115,6 @@ fn load_report(path: &str) -> Result<BenchReport, EmxError> {
     BenchReport::parse(&text).map_err(|e| EmxError::parse("bench.report", format!("`{path}`: {e}")))
 }
 
-/// Runs the ISS phase-attribution section: one profiled run per
-/// simulator workload, filtered like any benchmark under the pseudo
-/// group `phase/`.
-fn phase_entries(options: &Options) -> Result<Vec<PhaseEntry>, EmxError> {
-    let mut entries = Vec::new();
-    for w in suites::simulator_workloads() {
-        let name = format!("phase/{}", w.name());
-        if options.bench.list {
-            println!("{name}");
-            continue;
-        }
-        if let Some(f) = &options.bench.filter {
-            if !name.contains(f.as_str()) {
-                continue;
-            }
-        }
-        let mut collector = Collector::new();
-        let mut sim = Interp::new(w.program(), w.ext(), ProcConfig::default());
-        let (_, profile) = sim
-            .run_profiled(emx_bench::MAX_CYCLES, &mut collector)
-            .map_err(|e| {
-                EmxError::internal("bench.phase", format!("workload `{name}` failed: {e}"))
-            })?;
-        println!("\n{name} ({} instructions)", profile.steps());
-        println!("{profile}");
-        entries.push(PhaseEntry {
-            workload: w.name().to_owned(),
-            profile,
-        });
-    }
-    Ok(entries)
-}
-
 fn gate(
     baseline: &BenchReport,
     current: &BenchReport,
@@ -190,13 +155,12 @@ fn run(options: &Options) -> Result<ExitCode, EmxError> {
 
     let mut bench = Bench::with_options(options.bench.clone());
     suites::all(&mut bench);
-    let phases = phase_entries(options)?;
     let records = bench.finish();
     if options.bench.list {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let report = BenchReport::new(Environment::capture(), &records, phases);
+    let report = BenchReport::new(Environment::capture(), &records);
     if let Some(path) = &options.json {
         std::fs::write(path, report.to_text()).map_err(|e| EmxError::io(path, &e))?;
         println!("\nbench report written to {path}");

@@ -181,7 +181,7 @@ pub fn format_table(comparison: &Comparison) -> String {
 mod tests {
     use super::*;
     use crate::harness::BenchRecord;
-    use crate::report::{BenchReport, Environment, PhaseEntry};
+    use crate::report::{BenchReport, Environment};
     use emx_obs::Histogram;
 
     fn env() -> Environment {
@@ -212,7 +212,7 @@ mod tests {
                 }
             })
             .collect();
-        BenchReport::new(env(), &records, Vec::<PhaseEntry>::new())
+        BenchReport::new(env(), &records)
     }
 
     #[test]

@@ -4,15 +4,13 @@
 //! A report carries an environment fingerprint (so comparisons across
 //! machines can be flagged), per-benchmark latency statistics with the
 //! full log-linear histogram (so later tooling can ask new percentile
-//! questions of old snapshots), and the ISS per-phase host-time
-//! breakdown. Emission is deterministic modulo the measured timings:
-//! same records in, same bytes out.
+//! questions of old snapshots). Emission is deterministic modulo the
+//! measured timings: same records in, same bytes out.
 
 use std::process::Command;
 
 use emx_obs::json::Value;
 use emx_obs::Histogram;
-use emx_sim::PhaseProfile;
 
 use crate::harness::BenchRecord;
 
@@ -207,15 +205,6 @@ impl BenchEntry {
     }
 }
 
-/// The ISS per-phase host-time breakdown for one workload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseEntry {
-    /// Workload name.
-    pub workload: String,
-    /// Accumulated per-phase times.
-    pub profile: PhaseProfile,
-}
-
 /// A full `emx.bench-report/1` document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
@@ -223,21 +212,14 @@ pub struct BenchReport {
     pub environment: Environment,
     /// Per-benchmark statistics, in run order.
     pub benchmarks: Vec<BenchEntry>,
-    /// ISS phase breakdowns, in run order.
-    pub phases: Vec<PhaseEntry>,
 }
 
 impl BenchReport {
-    /// Assembles a report from harness records and phase breakdowns.
-    pub fn new(
-        environment: Environment,
-        records: &[BenchRecord],
-        phases: Vec<PhaseEntry>,
-    ) -> BenchReport {
+    /// Assembles a report from harness records.
+    pub fn new(environment: Environment, records: &[BenchRecord]) -> BenchReport {
         BenchReport {
             environment,
             benchmarks: records.iter().map(BenchEntry::from_record).collect(),
-            phases,
         }
     }
 
@@ -256,14 +238,6 @@ impl BenchReport {
             benchmarks.push(entry.to_json());
         }
         doc.set("benchmarks", benchmarks);
-        let mut phases = Value::array();
-        for entry in &self.phases {
-            let mut p = Value::object();
-            p.set("workload", entry.workload.as_str());
-            p.set("profile", entry.profile.to_json());
-            phases.push(p);
-        }
-        doc.set("phases", phases);
         doc
     }
 
@@ -275,7 +249,8 @@ impl BenchReport {
         text
     }
 
-    /// Parses report text.
+    /// Parses report text. Keys the schema does not name — such as the
+    /// `phases` section older snapshots carry — are ignored.
     ///
     /// # Errors
     ///
@@ -301,29 +276,9 @@ impl BenchReport {
             .iter()
             .map(BenchEntry::from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        let phases = doc
-            .get("phases")
-            .and_then(Value::as_array)
-            .ok_or("bench report: missing `phases` array")?
-            .iter()
-            .map(|p| {
-                Ok(PhaseEntry {
-                    workload: p
-                        .get("workload")
-                        .and_then(Value::as_str)
-                        .ok_or("phase entry: missing string field `workload`")?
-                        .to_owned(),
-                    profile: PhaseProfile::from_json(
-                        p.get("profile")
-                            .ok_or("phase entry: missing `profile` object")?,
-                    )?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         Ok(BenchReport {
             environment,
             benchmarks,
-            phases,
         })
     }
 }
@@ -345,13 +300,6 @@ mod tests {
             throughput_elements: Some(1234),
             hist,
         };
-        let mut profile = PhaseProfile::new();
-        {
-            use emx_sim::PhaseRecorder;
-            profile.add(emx_sim::Phase::Execute, 700);
-            profile.add(emx_sim::Phase::Fetch, 300);
-            profile.retire();
-        }
         BenchReport::new(
             Environment {
                 rustc: "rustc 1.80.0".into(),
@@ -361,10 +309,6 @@ mod tests {
                 git_rev: "abc123def456".into(),
             },
             &[record],
-            vec![PhaseEntry {
-                workload: "matmul".into(),
-                profile,
-            }],
         )
     }
 

@@ -15,7 +15,7 @@ use emx_obs::Collector;
 use emx_regress::solve::{normal_equations_lstsq, qr_lstsq};
 use emx_regress::Matrix;
 use emx_rtlpower::RtlEnergyEstimator;
-use emx_sim::{InstRecord, Interp, PipelineSim, ProcConfig};
+use emx_sim::{InstRecord, Interp, ProcConfig};
 use emx_workloads::Workload;
 
 use crate::harness::Bench;
@@ -46,15 +46,14 @@ fn pick(names: &[&str]) -> Vec<Workload> {
         .collect()
 }
 
-/// The workloads the simulator suites (and the phase-profiling section
-/// of the bench report) exercise: two base-ISA kernels and one
-/// custom-instruction kernel.
-pub fn simulator_workloads() -> Vec<Workload> {
+/// The workloads the simulator suites exercise: two base-ISA kernels and
+/// two custom-instruction kernels.
+fn simulator_workloads() -> Vec<Workload> {
     pick(&["matmul", "crc32", "tie_mac_fir", "tie_syn"])
 }
 
-/// Functional ISS throughput vs the activity-streaming pipeline path,
-/// per workload class.
+/// Functional ISS throughput vs the same engine streaming activity
+/// records, per workload class.
 pub fn simulators(bench: &mut Bench) {
     let workloads = simulator_workloads();
 
@@ -79,8 +78,8 @@ pub fn simulators(bench: &mut Bench) {
         group.bench(w.name(), || {
             let mut records = 0u64;
             let mut sink = |_: &InstRecord<'_>| records += 1;
-            let mut sim = PipelineSim::new(w.program(), w.ext(), ProcConfig::default());
-            sim.run(&mut sink, MAX_CYCLES).expect("runs");
+            let mut sim = Interp::new(w.program(), w.ext(), ProcConfig::default());
+            sim.run_with_sink(&mut sink, MAX_CYCLES).expect("runs");
             black_box(records)
         });
     }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use emx_bench::compare::{self, Verdict, DEFAULT_THRESHOLD_PCT};
 use emx_bench::harness::{Bench, BenchOptions, BenchRecord};
-use emx_bench::report::{BenchEntry, BenchReport, Environment, PhaseEntry};
+use emx_bench::report::{BenchEntry, BenchReport, Environment};
 use emx_obs::Histogram;
 
 fn test_environment() -> Environment {
@@ -56,7 +56,7 @@ fn slowed_benchmark_trips_the_gate() {
         group.bench("steady", || spin(20_000));
         group.bench("victim", || spin(slow_rounds));
         group.finish();
-        BenchReport::new(test_environment(), &bench.finish(), Vec::new())
+        BenchReport::new(test_environment(), &bench.finish())
     };
 
     let baseline = measure(20_000);
@@ -100,7 +100,6 @@ proptest! {
         let report = BenchReport::new(
             test_environment(),
             &[first, second],
-            Vec::<PhaseEntry>::new(),
         );
         let back = BenchReport::parse(&report.to_text()).expect("round-trip parses");
         prop_assert_eq!(&back, &report);
@@ -122,7 +121,6 @@ proptest! {
         let report = BenchReport::new(
             test_environment(),
             &[record("g", "a", &a), record("g", "b", &b)],
-            Vec::new(),
         );
         let cmp = compare::compare(&report, &report, DEFAULT_THRESHOLD_PCT);
         prop_assert!(cmp.passed());

@@ -145,14 +145,11 @@ impl Value {
     /// [`ParseError`] with a byte offset on malformed input, including
     /// trailing garbage after the top-level value.
     pub fn parse(text: &str) -> Result<Value, ParseError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(value)
@@ -308,7 +305,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -321,7 +318,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -340,7 +337,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -384,8 +381,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("malformed number"))
     }
@@ -412,11 +409,13 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
+                            if self.pos + 5 > self.text.len() {
                                 return Err(self.err("truncated \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let hex = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogate pairs are not needed for emx's own
@@ -429,12 +428,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or escape as one
+                    // slice; both are ASCII, so the run ends on a char
+                    // boundary.
+                    let rest = &self.text[self.pos..];
+                    let len = rest
+                        .bytes()
+                        .position(|b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&rest[..len]);
+                    self.pos += len;
                 }
             }
         }
@@ -508,6 +511,10 @@ mod tests {
         arr.push(1u64);
         arr.push("two");
         doc.set("items", arr);
+        // A long string mixing multi-byte characters with every escape
+        // the writer emits (and a `/`, which it leaves bare).
+        let long = "é→𝄞 \"q\" \\ / \n\r\t\u{8}\u{c}\u{1}\u{1f} µs ".repeat(500);
+        doc.set("long", long.as_str());
 
         let text = doc.to_string();
         let back = Value::parse(&text).unwrap();

@@ -5,8 +5,8 @@
 //! RTL of the extended processor in ModelSim and feeding the traces to a
 //! commercial RTL power estimator (Sente WattWatcher). Both tools are
 //! proprietary, so this crate provides the substitute: a **structural,
-//! per-activity energy integrator** that walks the detailed simulation
-//! trace of [`emx_sim::PipelineSim`] and charges every hardware block of
+//! per-activity energy integrator** that walks the detailed activity
+//! trace of [`emx_sim::Interp::run_with_sink`] and charges every hardware block of
 //! the processor for what it did each cycle:
 //!
 //! * clock tree and pipeline registers (every cycle, including stalls),

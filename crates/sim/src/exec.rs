@@ -1,11 +1,11 @@
-//! The shared instruction executor.
+//! Architectural state and custom-instruction execution.
 //!
-//! Both the functional ISS ([`crate::Interp`]) and the pipeline simulator
-//! ([`crate::PipelineSim`]) drive this single-step executor, so the two
-//! paths can never disagree about architectural semantics.
+//! Base-instruction semantics live in the micro-op engine (`uop`); this
+//! module holds the core state it mutates and the one entry point into a
+//! compiled TIE datapath.
 
 use emx_isa::program::layout;
-use emx_isa::{BaseInst, CustomId, Inst, Opcode, Program, Reg};
+use emx_isa::{Program, Reg};
 use emx_tie::ExtensionSet;
 
 use crate::{Memory, SimError};
@@ -72,129 +72,14 @@ impl CoreState {
     }
 }
 
-/// A data-memory access performed by one instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DataAccess {
-    /// Byte address.
-    pub addr: u32,
-    /// Access size in bytes (1, 2 or 4).
-    pub size: u32,
-    /// `true` for stores.
-    pub write: bool,
-    /// The value loaded or stored (zero-extended).
-    pub value: u32,
-}
-
-/// Everything one retired instruction did, as reported by [`step`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepOutcome {
-    /// The executed instruction.
-    pub inst: Inst,
-    /// Its address.
-    pub pc: u32,
-    /// Address of the next instruction.
-    pub next_pc: u32,
-    /// For branches: whether the branch was taken.
-    pub taken: bool,
-    /// `true` after `halt`.
-    pub halted: bool,
-    /// First EX-stage operand value (operand bus A).
-    pub operand_a: u32,
-    /// Second EX-stage operand value (operand bus B).
-    pub operand_b: u32,
-    /// GPR writeback, if any.
-    pub result: Option<(Reg, u32)>,
-    /// Data-memory access, if any.
-    pub mem: Option<DataAccess>,
-    /// Custom instruction id, if this was a custom instruction (its node
-    /// values are left in [`CoreState::last_custom_nodes`]).
-    pub custom: Option<CustomId>,
-}
-
-fn check_aligned(addr: u32, size: u32) -> Result<(), SimError> {
-    if !addr.is_multiple_of(size) {
-        Err(SimError::Unaligned { addr, size })
-    } else {
-        Ok(())
-    }
-}
-
-/// Executes the instruction at the current PC, updating `state`.
-///
-/// # Errors
-///
-/// * [`SimError::InvalidPc`] — PC outside the text segment,
-/// * [`SimError::UnknownCustom`] — custom id not in `ext`,
-/// * [`SimError::Unaligned`] — misaligned data access,
-/// * [`SimError::Graph`] — custom datapath evaluation failure.
-pub fn step(
-    state: &mut CoreState,
-    program: &Program,
-    ext: &ExtensionSet,
-) -> Result<StepOutcome, SimError> {
-    let pc = state.pc;
-    let inst = decode(program, pc)?;
-    execute(state, ext, inst, pc)
-}
-
-/// Looks up the (already statically decoded) instruction at `pc`.
-///
-/// Exposed separately from [`execute`] so the ISS can attribute
-/// decode-lookup time to its own profiling phase.
-///
-/// # Errors
-///
-/// [`SimError::InvalidPc`] — PC outside the text segment.
-#[inline]
-pub fn decode(program: &Program, pc: u32) -> Result<Inst, SimError> {
-    program.fetch(pc).copied().ok_or(SimError::InvalidPc(pc))
-}
-
-/// Executes one decoded instruction at `pc`, updating `state`.
-///
-/// # Errors
-///
-/// * [`SimError::UnknownCustom`] — custom id not in `ext`,
-/// * [`SimError::Unaligned`] — misaligned data access,
-/// * [`SimError::Graph`] — custom datapath evaluation failure.
-pub fn execute(
-    state: &mut CoreState,
-    ext: &ExtensionSet,
-    inst: Inst,
-    pc: u32,
-) -> Result<StepOutcome, SimError> {
-    match inst {
-        Inst::Base(b) => step_base(state, b, pc, inst),
-        Inst::Custom(c) => {
-            let spec = ext.get(c.id).ok_or(SimError::UnknownCustom(c.id))?;
-            let (rs, rt, result) = execute_custom(state, spec, &c)?;
-            let next_pc = pc.wrapping_add(layout::INST_BYTES);
-            state.pc = next_pc;
-            Ok(StepOutcome {
-                inst,
-                pc,
-                next_pc,
-                taken: false,
-                halted: false,
-                operand_a: rs,
-                operand_b: rt,
-                result,
-                mem: None,
-                custom: Some(c.id),
-            })
-        }
-    }
-}
-
-/// What one custom execution exposes to stats accounting: the two
+/// What one custom execution exposes to the engine: the two
 /// operand values and the GPR writeback (register, value), if any.
 pub(crate) type CustomOutcome = (u32, u32, Option<(Reg, u32)>);
 
 /// Executes one custom instruction against an already-resolved spec,
-/// returning the operand values and the GPR writeback (if any). Shared by
-/// the single-step executor and the micro-op engine so custom semantics —
-/// including the scratch-buffer handling on datapath errors — can never
-/// diverge between the two.
+/// returning the operand values and the GPR writeback (if any). The
+/// node values stay in [`CoreState::last_custom_nodes`] for the activity
+/// record; on a datapath error the scratch buffer is dropped.
 #[inline]
 pub(crate) fn execute_custom(
     state: &mut CoreState,
@@ -212,418 +97,4 @@ pub(crate) fn execute_custom(
         (c.rd, v)
     });
     Ok((rs, rt, result))
-}
-
-#[allow(clippy::too_many_lines)] // one arm per opcode: flat is clearest
-fn step_base(
-    state: &mut CoreState,
-    b: BaseInst,
-    pc: u32,
-    inst: Inst,
-) -> Result<StepOutcome, SimError> {
-    use Opcode::*;
-
-    let rs = state.reg(b.rs);
-    let rt = state.reg(b.rt);
-    let imm = b.imm;
-    let seq = pc.wrapping_add(layout::INST_BYTES);
-
-    let mut out = StepOutcome {
-        inst,
-        pc,
-        next_pc: seq,
-        taken: false,
-        halted: false,
-        operand_a: rs,
-        operand_b: rt,
-        result: None,
-        mem: None,
-        custom: None,
-    };
-
-    // Arithmetic helper: write rd.
-    macro_rules! wr {
-        ($v:expr) => {{
-            let v: u32 = $v;
-            state.set_reg(b.rd, v);
-            out.result = Some((b.rd, v));
-        }};
-    }
-
-    match b.op {
-        // --- arithmetic ----------------------------------------------------
-        Add => wr!(rs.wrapping_add(rt)),
-        Sub => wr!(rs.wrapping_sub(rt)),
-        And => wr!(rs & rt),
-        Or => wr!(rs | rt),
-        Xor => wr!(rs ^ rt),
-        Sll => wr!(rs.wrapping_shl(rt & 31)),
-        Srl => wr!(rs.wrapping_shr(rt & 31)),
-        Sra => wr!(((rs as i32).wrapping_shr(rt & 31)) as u32),
-        Ror => wr!(rs.rotate_right(rt & 31)),
-        Slt => wr!(u32::from((rs as i32) < (rt as i32))),
-        Sltu => wr!(u32::from(rs < rt)),
-        Min => wr!((rs as i32).min(rt as i32) as u32),
-        Max => wr!((rs as i32).max(rt as i32) as u32),
-        Minu => wr!(rs.min(rt)),
-        Maxu => wr!(rs.max(rt)),
-        Moveqz => {
-            if rt == 0 {
-                wr!(rs);
-            }
-        }
-        Movnez => {
-            if rt != 0 {
-                wr!(rs);
-            }
-        }
-        Movltz => {
-            if (rt as i32) < 0 {
-                wr!(rs);
-            }
-        }
-        Movgez => {
-            if (rt as i32) >= 0 {
-                wr!(rs);
-            }
-        }
-        Mul => wr!(rs.wrapping_mul(rt)),
-        Mulh => wr!(((i64::from(rs as i32) * i64::from(rt as i32)) >> 32) as u32),
-        Muluh => wr!(((u64::from(rs) * u64::from(rt)) >> 32) as u32),
-        Mul16s => wr!((i32::from(rs as i16).wrapping_mul(i32::from(rt as i16))) as u32),
-        Mul16u => wr!((rs & 0xffff).wrapping_mul(rt & 0xffff)),
-        Addi => wr!(rs.wrapping_add(imm as u32)),
-        Addmi => wr!(rs.wrapping_add((imm as u32) << 8)),
-        Andi => wr!(rs & imm as u32),
-        Ori => wr!(rs | imm as u32),
-        Xori => wr!(rs ^ imm as u32),
-        Slti => wr!(u32::from((rs as i32) < imm)),
-        Sltiu => wr!(u32::from(rs < imm as u32)),
-        Slli => wr!(rs.wrapping_shl(imm as u32 & 31)),
-        Srli => wr!(rs.wrapping_shr(imm as u32 & 31)),
-        Srai => wr!(((rs as i32).wrapping_shr(imm as u32 & 31)) as u32),
-        Rori => wr!(rs.rotate_right(imm as u32 & 31)),
-        Extui => {
-            let sa = imm as u32 & 31;
-            let len = u32::from(b.len).clamp(1, 32);
-            let mask = if len == 32 {
-                u32::MAX
-            } else {
-                (1u32 << len) - 1
-            };
-            wr!((rs >> sa) & mask);
-        }
-        Neg => wr!((rs as i32).wrapping_neg() as u32),
-        Abs => wr!((rs as i32).wrapping_abs() as u32),
-        Not => wr!(!rs),
-        Mov => wr!(rs),
-        Sext8 => wr!(i32::from(rs as i8) as u32),
-        Sext16 => wr!(i32::from(rs as i16) as u32),
-        Clz => wr!(rs.leading_zeros()),
-        Movi => wr!(imm as u32),
-        Nop => {}
-        // --- loads -----------------------------------------------------------
-        L8ui | L8si | L16ui | L16si | L32i => {
-            let addr = rs.wrapping_add(imm as u32);
-            let (size, raw) = match b.op {
-                L8ui | L8si => (1, u32::from(state.mem.read_u8(addr))),
-                L16ui | L16si => {
-                    check_aligned(addr, 2)?;
-                    (2, u32::from(state.mem.read_u16(addr)))
-                }
-                _ => {
-                    check_aligned(addr, 4)?;
-                    (4, state.mem.read_u32(addr))
-                }
-            };
-            let value = match b.op {
-                L8si => i32::from(raw as u8 as i8) as u32,
-                L16si => i32::from(raw as u16 as i16) as u32,
-                _ => raw,
-            };
-            out.mem = Some(DataAccess {
-                addr,
-                size,
-                write: false,
-                value: raw,
-            });
-            wr!(value);
-        }
-        L32r => {
-            let addr = b.target;
-            check_aligned(addr, 4)?;
-            let value = state.mem.read_u32(addr);
-            out.mem = Some(DataAccess {
-                addr,
-                size: 4,
-                write: false,
-                value,
-            });
-            wr!(value);
-        }
-        // --- stores ----------------------------------------------------------
-        S8i | S16i | S32i => {
-            let addr = rs.wrapping_add(imm as u32);
-            let value = rt;
-            let size = match b.op {
-                S8i => {
-                    state.mem.write_u8(addr, value as u8);
-                    1
-                }
-                S16i => {
-                    check_aligned(addr, 2)?;
-                    state.mem.write_u16(addr, value as u16);
-                    2
-                }
-                _ => {
-                    check_aligned(addr, 4)?;
-                    state.mem.write_u32(addr, value);
-                    4
-                }
-            };
-            out.mem = Some(DataAccess {
-                addr,
-                size,
-                write: true,
-                value,
-            });
-        }
-        // --- jumps -----------------------------------------------------------
-        J => out.next_pc = b.target,
-        Jx => out.next_pc = rs,
-        Call => {
-            state.set_reg(Reg::LINK, seq);
-            out.result = Some((Reg::LINK, seq));
-            out.next_pc = b.target;
-        }
-        Callx => {
-            state.set_reg(Reg::LINK, seq);
-            out.result = Some((Reg::LINK, seq));
-            out.next_pc = rs;
-        }
-        Ret => out.next_pc = state.reg(Reg::LINK),
-        // --- branches ---------------------------------------------------------
-        Beq | Bne | Blt | Bge | Bltu | Bgeu | Ball | Bnall | Bany | Bnone | Beqz | Bnez | Bltz
-        | Bgez | Beqi | Bnei | Blti | Bgei | Bltui | Bgeui => {
-            let taken = match b.op {
-                Beq => rs == rt,
-                Bne => rs != rt,
-                Blt => (rs as i32) < (rt as i32),
-                Bge => (rs as i32) >= (rt as i32),
-                Bltu => rs < rt,
-                Bgeu => rs >= rt,
-                Ball => (!rs & rt) == 0,
-                Bnall => (!rs & rt) != 0,
-                Bany => (rs & rt) != 0,
-                Bnone => (rs & rt) == 0,
-                Beqz => rs == 0,
-                Bnez => rs != 0,
-                Bltz => (rs as i32) < 0,
-                Bgez => (rs as i32) >= 0,
-                Beqi => rs == imm as u32,
-                Bnei => rs != imm as u32,
-                Blti => (rs as i32) < imm,
-                Bgei => (rs as i32) >= imm,
-                Bltui => rs < imm as u32,
-                Bgeui => rs >= imm as u32,
-                _ => unreachable!(),
-            };
-            out.taken = taken;
-            if taken {
-                out.next_pc = b.target;
-            }
-        }
-        // --- system ------------------------------------------------------------
-        Halt => {
-            out.halted = true;
-            out.next_pc = pc;
-        }
-    }
-
-    state.pc = out.next_pc;
-    Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use emx_isa::asm::Assembler;
-
-    type TestResult = Result<(), Box<dyn std::error::Error>>;
-
-    fn run_to_halt(src: &str) -> Result<CoreState, Box<dyn std::error::Error>> {
-        let program = Assembler::new().assemble(src)?;
-        let ext = ExtensionSet::empty();
-        let mut state = CoreState::new(&program, &ext);
-        for _ in 0..10_000 {
-            let out = step(&mut state, &program, &ext)?;
-            if out.halted {
-                return Ok(state);
-            }
-        }
-        Err("program did not halt".into())
-    }
-
-    fn r(i: u8) -> Reg {
-        Reg::new(i)
-    }
-
-    #[test]
-    fn arithmetic_semantics() -> TestResult {
-        let s = run_to_halt(
-            "movi a2, 7\nmovi a3, -3\nadd a4, a2, a3\nsub a5, a2, a3\nmul a6, a2, a3\n\
-             neg a7, a3\nabs a8, a3\nclz a9, a2\nmax a10, a2, a3\nminu a11, a2, a3\nhalt",
-        )?;
-        assert_eq!(s.reg(r(4)), 4);
-        assert_eq!(s.reg(r(5)), 10);
-        assert_eq!(s.reg(r(6)) as i32, -21);
-        assert_eq!(s.reg(r(7)), 3);
-        assert_eq!(s.reg(r(8)), 3);
-        assert_eq!(s.reg(r(9)), 29);
-        assert_eq!(s.reg(r(10)), 7);
-        assert_eq!(s.reg(r(11)), 7); // unsigned: -3 is huge
-        Ok(())
-    }
-
-    #[test]
-    fn shift_semantics() -> TestResult {
-        let s = run_to_halt(
-            "movi a2, 0x80000001\nslli a3, a2, 1\nsrli a4, a2, 1\nsrai a5, a2, 1\n\
-             rori a6, a2, 1\nmovi a7, 4\nsll a8, a2, a7\nhalt",
-        )?;
-        assert_eq!(s.reg(r(3)), 2);
-        assert_eq!(s.reg(r(4)), 0x4000_0000);
-        assert_eq!(s.reg(r(5)), 0xc000_0000);
-        assert_eq!(s.reg(r(6)), 0xc000_0000);
-        assert_eq!(s.reg(r(8)), 0x10);
-        Ok(())
-    }
-
-    #[test]
-    fn mul_variants() -> TestResult {
-        let s = run_to_halt(
-            "movi a2, 0x10000\nmovi a3, 0x10000\nmulh a4, a2, a3\nmuluh a5, a2, a3\n\
-             movi a6, -2\nmovi a7, 3\nmul16s a8, a6, a7\nmul16u a9, a6, a7\nhalt",
-        )?;
-        assert_eq!(s.reg(r(4)), 1);
-        assert_eq!(s.reg(r(5)), 1);
-        assert_eq!(s.reg(r(8)) as i32, -6);
-        assert_eq!(s.reg(r(9)), 0xfffe * 3);
-        Ok(())
-    }
-
-    #[test]
-    fn extui_and_sext() -> TestResult {
-        let s = run_to_halt(
-            "movi a2, 0x12345678\nextui a3, a2, 8, 12\nmovi a4, 0x80\nsext8 a5, a4\n\
-             movi a6, 0x8000\nsext16 a7, a6\nhalt",
-        )?;
-        assert_eq!(s.reg(r(3)), 0x456);
-        assert_eq!(s.reg(r(5)), 0xffff_ff80);
-        assert_eq!(s.reg(r(7)), 0xffff_8000);
-        Ok(())
-    }
-
-    #[test]
-    fn conditional_moves() -> TestResult {
-        let s = run_to_halt(
-            "movi a2, 5\nmovi a3, 0\nmovi a4, 99\nmoveqz a4, a2, a3\n\
-             movi a5, 99\nmovnez a5, a2, a3\nmovi a6, -1\nmovi a7, 99\nmovltz a7, a2, a6\nhalt",
-        )?;
-        assert_eq!(s.reg(r(4)), 5); // a3 == 0 → moved
-        assert_eq!(s.reg(r(5)), 99); // a3 == 0 → not moved
-        assert_eq!(s.reg(r(7)), 5); // a6 < 0 → moved
-        Ok(())
-    }
-
-    #[test]
-    fn memory_round_trip() -> TestResult {
-        let s = run_to_halt(
-            ".data\nbuf: .space 16\n.text\nmovi a2, buf\nmovi a3, 0x1234abcd\n\
-             s32i a3, 0(a2)\nl32i a4, 0(a2)\nl16ui a5, 0(a2)\nl16si a6, 2(a2)\n\
-             l8ui a7, 3(a2)\ns8i a3, 8(a2)\nl8si a8, 8(a2)\nhalt",
-        )?;
-        assert_eq!(s.reg(r(4)), 0x1234_abcd);
-        assert_eq!(s.reg(r(5)), 0xabcd);
-        assert_eq!(s.reg(r(6)), 0x1234);
-        assert_eq!(s.reg(r(7)), 0x12);
-        assert_eq!(s.reg(r(8)), 0xffff_ffcd);
-        Ok(())
-    }
-
-    #[test]
-    fn unaligned_access_faults() -> TestResult {
-        let program = Assembler::new().assemble("movi a2, 1\nl32i a3, 0(a2)\nhalt")?;
-        let ext = ExtensionSet::empty();
-        let mut state = CoreState::new(&program, &ext);
-        step(&mut state, &program, &ext)?;
-        assert_eq!(
-            step(&mut state, &program, &ext),
-            Err(SimError::Unaligned { addr: 1, size: 4 })
-        );
-        Ok(())
-    }
-
-    #[test]
-    fn calls_and_returns() -> TestResult {
-        let s = run_to_halt("movi a2, 1\ncall fn\nmovi a4, 7\nhalt\nfn: movi a3, 6\nret")?;
-        assert_eq!(s.reg(r(3)), 6);
-        assert_eq!(s.reg(r(4)), 7);
-        Ok(())
-    }
-
-    #[test]
-    fn computed_jump() -> TestResult {
-        let s = run_to_halt("movi a2, tgt\njx a2\nmovi a3, 1\nhalt\ntgt: movi a3, 2\nhalt")?;
-        assert_eq!(s.reg(r(3)), 2);
-        Ok(())
-    }
-
-    #[test]
-    fn branch_taken_and_untaken() -> TestResult {
-        let program = Assembler::new()
-            .assemble("movi a2, 0\nbeqz a2, yes\nnop\nyes: bnez a2, no\nhalt\nno: nop\nhalt")?;
-        let ext = ExtensionSet::empty();
-        let mut state = CoreState::new(&program, &ext);
-        step(&mut state, &program, &ext)?;
-        let b1 = step(&mut state, &program, &ext)?;
-        assert!(b1.taken);
-        let b2 = step(&mut state, &program, &ext)?;
-        assert!(!b2.taken);
-        Ok(())
-    }
-
-    #[test]
-    fn mask_branches() -> TestResult {
-        let s = run_to_halt(
-            "movi a2, 0b1110\nmovi a3, 0b0110\nmovi a4, 0\n\
-             ball a2, a3, t1\nj end\nt1: addi a4, a4, 1\n\
-             bany a2, a3, t2\nj end\nt2: addi a4, a4, 1\n\
-             movi a5, 0b0001\nbnone a2, a5, t3\nj end\nt3: addi a4, a4, 1\n\
-             end: halt",
-        )?;
-        assert_eq!(s.reg(r(4)), 3);
-        Ok(())
-    }
-
-    #[test]
-    fn invalid_pc_detected() -> TestResult {
-        let program = Assembler::new().assemble("nop\nnop\n")?;
-        let ext = ExtensionSet::empty();
-        let mut state = CoreState::new(&program, &ext);
-        step(&mut state, &program, &ext)?;
-        step(&mut state, &program, &ext)?;
-        assert_eq!(
-            step(&mut state, &program, &ext),
-            Err(SimError::InvalidPc(8))
-        );
-        Ok(())
-    }
-
-    #[test]
-    fn l32r_reads_literal() -> TestResult {
-        let s = run_to_halt(".data\nk: .word 0xcafef00d\n.text\nl32r a2, k\nhalt")?;
-        assert_eq!(s.reg(r(2)), 0xcafe_f00d);
-        Ok(())
-    }
 }

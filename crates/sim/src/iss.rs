@@ -1,9 +1,7 @@
-use emx_isa::program::layout;
-use emx_isa::{encode, DynClass, Inst, Opcode, Program, Reg};
+use emx_isa::{Program, Reg};
 use emx_tie::ExtensionSet;
 
-use crate::phase::{lap, NullPhases, Phase, PhaseProfile, PhaseRecorder};
-use crate::record::{ActivitySink, CustomActivity, InstKind, InstRecord, MemAccess, NullSink};
+use crate::record::{ActivitySink, NullSink};
 use crate::{Cache, CoreState, ExecStats, ProcConfig, SimError};
 
 /// What kind of delayed-result hazard the previous instruction left
@@ -80,11 +78,8 @@ impl<'a> Interp<'a> {
     /// Runs until `halt`, or until `max_cycles` simulated cycles have
     /// elapsed.
     ///
-    /// This is the fast path: it executes over a pre-decoded micro-op
-    /// table (see the `uop` module) and is observationally identical —
-    /// statistics, architectural state, and errors — to the legacy
-    /// single-step interpreter, which remains available as
-    /// [`Interp::run_legacy`] for differential testing.
+    /// This executes over a pre-decoded micro-op table (see the `uop`
+    /// module) with no activity sink attached.
     ///
     /// # Errors
     ///
@@ -92,7 +87,7 @@ impl<'a> Interp<'a> {
     /// executor error ([`SimError::InvalidPc`], [`SimError::Unaligned`],
     /// …).
     pub fn run(&mut self, max_cycles: u64) -> Result<RunResult, SimError> {
-        crate::uop::run(self, max_cycles)
+        crate::uop::run(self, max_cycles, &mut NullSink)
     }
 
     /// Runs like [`Interp::run`] (micro-op engine) while counting retired
@@ -119,22 +114,36 @@ impl<'a> Interp<'a> {
         crate::uop::run_counting(self, max_cycles, counts)
     }
 
-    /// Runs like [`Interp::run`] on the legacy single-step interpreter
-    /// instead of the micro-op engine. The two paths are byte-identical
-    /// in statistics, state and errors; this one exists as the
-    /// differential-testing reference (and is what the activity-streaming
-    /// [`Interp::run_with_sink`] path uses internally).
+    /// Runs like [`Interp::run`] while streaming one
+    /// [`InstRecord`](crate::InstRecord) per retired instruction into
+    /// `sink`: the full stage-level activity (fetched encoding, operand
+    /// and result buses, cache behaviour, custom-datapath node values,
+    /// stall and flush cycles) that the RTL-level reference energy
+    /// estimator integrates, playing the role of the paper's ModelSim
+    /// trace generation.
     ///
-    /// # Errors
+    /// The same micro-op loop runs with or without a sink, so statistics,
+    /// state and errors are identical to [`Interp::run`]'s; only the
+    /// record construction is added.
     ///
-    /// Same conditions as [`Interp::run`].
-    pub fn run_legacy(&mut self, max_cycles: u64) -> Result<RunResult, SimError> {
-        self.run_with_sink(&mut NullSink, max_cycles)
-    }
-
-    /// Runs like [`Interp::run`] while streaming per-instruction activity
-    /// records into `sink`. This is the slow, detailed path used by the
-    /// RTL-level energy estimator.
+    /// # Example
+    ///
+    /// ```
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// use emx_isa::asm::Assembler;
+    /// use emx_sim::{InstRecord, Interp, ProcConfig};
+    /// use emx_tie::ExtensionSet;
+    ///
+    /// let program = Assembler::new().assemble("movi a2, 3\nhalt")?;
+    /// let ext = ExtensionSet::empty();
+    /// let mut cycles = 0u64;
+    /// let mut sink = |r: &InstRecord<'_>| cycles += u64::from(r.cycles);
+    /// let mut sim = Interp::new(&program, &ext, ProcConfig::default());
+    /// let run = sim.run_with_sink(&mut sink, 1_000)?;
+    /// assert_eq!(cycles, run.stats.total_cycles);
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// # Errors
     ///
@@ -144,254 +153,16 @@ impl<'a> Interp<'a> {
         sink: &mut S,
         max_cycles: u64,
     ) -> Result<RunResult, SimError> {
-        self.run_with_phases(sink, &mut NullPhases, max_cycles)
-    }
-
-    /// Runs like [`Interp::run_with_sink`] while attributing host time
-    /// to the five per-instruction phases via `phases`.
-    ///
-    /// With [`NullPhases`] this is exactly [`Interp::run_with_sink`] —
-    /// the `const ACTIVE` flag removes every clock read at compile time.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Interp::run`].
-    pub fn run_with_phases<S: ActivitySink, P: PhaseRecorder>(
-        &mut self,
-        sink: &mut S,
-        phases: &mut P,
-        max_cycles: u64,
-    ) -> Result<RunResult, SimError> {
-        loop {
-            if self.stats.total_cycles >= max_cycles {
-                return Err(SimError::CycleLimit(max_cycles));
-            }
-            if self.step_counted(sink, phases)? {
-                return Ok(RunResult {
-                    stats: self.stats.clone(),
-                    halted: true,
-                });
-            }
-        }
-    }
-
-    /// Runs with phase profiling enabled and folds the result into
-    /// `collector` (as `iss.phase.*` counters) when it is enabled.
-    ///
-    /// A disabled collector selects the un-instrumented fast path — the
-    /// returned profile is then empty, and the run is bit-identical to
-    /// [`Interp::run`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Interp::run`].
-    pub fn run_profiled(
-        &mut self,
-        max_cycles: u64,
-        collector: &mut emx_obs::Collector,
-    ) -> Result<(RunResult, PhaseProfile), SimError> {
-        if !collector.is_enabled() {
-            let run = self.run(max_cycles)?;
-            return Ok((run, PhaseProfile::new()));
-        }
-        let mut profile = PhaseProfile::new();
-        let run = self.run_with_phases(&mut NullSink, &mut profile, max_cycles)?;
-        profile.export_to(collector);
-        Ok((run, profile))
-    }
-
-    /// Executes one instruction with full cycle accounting; returns `true`
-    /// on `halt`.
-    fn step_counted<S: ActivitySink, P: PhaseRecorder>(
-        &mut self,
-        sink: &mut S,
-        phases: &mut P,
-    ) -> Result<bool, SimError> {
-        let mut clock = None;
-        lap(phases, Phase::Fetch, &mut clock); // starts the lap clock
-        let pc = self.state.pc();
-
-        // ---- instruction fetch ------------------------------------------------
-        let fetch_uncached = layout::is_uncached(pc);
-        let mut penalty_cycles: u32 = 0;
-        let mut fetch_hit = true;
-        if fetch_uncached {
-            self.stats.uncached_fetches += 1;
-            penalty_cycles += self.config.uncached_fetch_penalty;
-            fetch_hit = false;
-        } else if !self.icache.access(pc, false).hit {
-            self.stats.icache_misses += 1;
-            penalty_cycles += self.config.icache_miss_penalty;
-            fetch_hit = false;
-        }
-
-        lap(phases, Phase::Fetch, &mut clock);
-
-        // ---- decode ------------------------------------------------------------
-        let inst = crate::exec::decode(self.program, pc)?;
-        lap(phases, Phase::Decode, &mut clock);
-
-        // ---- execute -----------------------------------------------------------
-        let out = crate::exec::execute(&mut self.state, self.ext, inst, pc)?;
-
-        // ---- interlock detection ------------------------------------------------
-        let (read_a, read_b) = match &out.inst {
-            Inst::Base(b) => b.read_regs(),
-            Inst::Custom(c) => {
-                // exec::step validated the id, but re-check instead of
-                // panicking so a future desync stays a recoverable error.
-                let spec = self.ext.get(c.id).ok_or(SimError::UnknownCustom(c.id))?;
-                let sig = spec.signature();
-                (
-                    (sig.gpr_reads >= 1).then_some(c.rs),
-                    (sig.gpr_reads >= 2).then_some(c.rt),
-                )
-            }
-        };
-        let mut stall_cycles = 0u32;
-        if let Some((hreg, _)) = self.hazard {
-            if read_a == Some(hreg) || read_b == Some(hreg) {
-                stall_cycles = 1;
-                self.stats.interlocks += 1;
-            }
-        }
-
-        // ---- per-kind cycle accounting -------------------------------------------
-        let (kind, base_cycles, flush_cycles) = match &out.inst {
-            Inst::Base(b) => {
-                let class = DynClass::from_base(b.op.base_class(), out.taken);
-                let cost = match class {
-                    DynClass::BranchTaken => self.config.branch_taken_cycles,
-                    DynClass::Jump if b.op != Opcode::Halt => self.config.jump_cycles,
-                    _ => 1,
-                };
-                self.stats.class_cycles[class.index()] += u64::from(cost);
-                self.stats.class_counts[class.index()] += 1;
-                self.stats.opcode_cycles[b.op.index()] += u64::from(cost);
-                // `saturating_sub`: a zero-cost branch/jump config (legal,
-                // if unusual) must yield zero flush cycles, not underflow.
-                (
-                    InstKind::Base(class, b.op.exec_unit()),
-                    cost,
-                    cost.saturating_sub(1),
-                )
-            }
-            Inst::Custom(c) => {
-                let spec = self.ext.get(c.id).ok_or(SimError::UnknownCustom(c.id))?;
-                let cost = u32::from(spec.latency());
-                self.stats.custom_cycles += u64::from(cost);
-                if spec.uses_gpr() {
-                    self.stats.ci_gpr_cycles += u64::from(cost);
-                }
-                self.stats.custom_counts[c.id.0 as usize] += 1;
-                for (acc, add) in self
-                    .stats
-                    .struct_activity
-                    .iter_mut()
-                    .zip(spec.resource_vector())
-                {
-                    *acc += add;
-                }
-                for (acc, add) in self
-                    .stats
-                    .struct_activations
-                    .iter_mut()
-                    .zip(spec.resource_counts())
-                {
-                    *acc += add;
-                }
-                (InstKind::Custom(c.id), cost, 0)
-            }
-        };
-        lap(phases, Phase::Execute, &mut clock);
-
-        // ---- data memory ------------------------------------------------------------
-        let mem = out.mem.map(|d| {
-            let uncached = layout::is_uncached(d.addr);
-            let (hit, writeback) = if uncached {
-                self.stats.dcache_misses += 1;
-                penalty_cycles += self.config.uncached_fetch_penalty;
-                (false, false)
-            } else {
-                let acc = self.dcache.access(d.addr, d.write);
-                if !acc.hit {
-                    self.stats.dcache_misses += 1;
-                    penalty_cycles += self.config.dcache_miss_penalty;
-                }
-                (acc.hit, acc.writeback)
-            };
-            MemAccess {
-                addr: d.addr,
-                size: d.size,
-                write: d.write,
-                value: d.value,
-                hit,
-                writeback,
-                uncached,
-            }
-        });
-        lap(phases, Phase::Memory, &mut clock);
-
-        // ---- hazard bookkeeping for the next instruction ----------------------------
-        self.hazard = match &out.inst {
-            Inst::Base(b) if b.op.base_class() == emx_isa::BaseClass::Load => {
-                out.result.map(|(r, _)| (r, HazKind::Load))
-            }
-            Inst::Base(b) if b.op.is_multiply() => out.result.map(|(r, _)| (r, HazKind::Mul)),
-            Inst::Custom(_) => out.result.map(|(r, _)| (r, HazKind::Custom)),
-            _ => None,
-        };
-
-        // ---- totals --------------------------------------------------------------------
-        let cycles = base_cycles + stall_cycles + penalty_cycles;
-        self.stats.total_cycles += u64::from(cycles);
-        self.stats.inst_count += 1;
-
-        // ---- activity record (skipped entirely on the fast path) -------------------------
-        if S::ACTIVE {
-            let custom = match (&out.inst, out.custom) {
-                (Inst::Custom(_), Some(id)) => {
-                    let spec = self.ext.get(id).ok_or(SimError::UnknownCustom(id))?;
-                    Some(CustomActivity {
-                        id,
-                        latency: spec.latency(),
-                        uses_gpr: spec.uses_gpr(),
-                        node_values: self.state.last_custom_nodes(),
-                    })
-                }
-                _ => None,
-            };
-            let record = InstRecord {
-                pc,
-                word: encode(&out.inst),
-                inst: out.inst,
-                kind,
-                operand_a: out.operand_a,
-                operand_b: out.operand_b,
-                result: out.result,
-                cycles,
-                stall_cycles,
-                flush_cycles,
-                fetch_hit,
-                fetch_uncached,
-                mem,
-                custom,
-            };
-            sink.record(&record);
-        }
-        lap(phases, Phase::Observe, &mut clock);
-        if P::ACTIVE {
-            phases.retire();
-        }
-
-        Ok(out.halted)
+        crate::uop::run(self, max_cycles, sink)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{InstKind, InstRecord};
     use emx_isa::asm::Assembler;
+    use emx_isa::DynClass;
 
     fn sim(src: &str) -> (ExecStats, u32) {
         let program = Assembler::new().assemble(src).unwrap();
@@ -400,6 +171,19 @@ mod tests {
         let run = interp.run(10_000_000).unwrap();
         let a2 = interp.state().reg(Reg::new(2));
         (run.stats, a2)
+    }
+
+    /// Runs `src` to `halt` and returns the final architectural state.
+    fn run_to_halt(src: &str) -> CoreState {
+        let program = Assembler::new().assemble(src).unwrap();
+        let ext = ExtensionSet::empty();
+        let mut interp = Interp::new(&program, &ext, ProcConfig::default());
+        assert!(interp.run(100_000).unwrap().halted);
+        interp.state().clone()
+    }
+
+    fn r(i: u8) -> Reg {
+        Reg::new(i)
     }
 
     #[test]
@@ -501,43 +285,48 @@ mod tests {
     }
 
     #[test]
-    fn profiled_run_attributes_time_and_matches_plain_stats() {
-        let src = "movi a2, 50\nmovi a3, 0\nl: add a3, a3, a2\naddi a2, a2, -1\nbnez a2, l\nhalt";
-        let program = Assembler::new().assemble(src).unwrap();
+    fn record_cycles_sum_to_total() {
+        let program = Assembler::new()
+            .assemble(
+                ".data\nv: .word 1,2,3,4\n.text\nmovi a2, v\nmovi a3, 4\nmovi a5, 0\n\
+                 l: l32i a4, 0(a2)\nadd a5, a5, a4\naddi a2, a2, 4\naddi a3, a3, -1\n\
+                 bnez a3, l\nhalt",
+            )
+            .unwrap();
         let ext = ExtensionSet::empty();
+        let mut sum = 0u64;
+        let mut stalls = 0u64;
+        let mut sink = |r: &InstRecord<'_>| {
+            sum += u64::from(r.cycles);
+            stalls += u64::from(r.stall_cycles);
+        };
+        let mut sim = Interp::new(&program, &ext, ProcConfig::default());
+        let run = sim.run_with_sink(&mut sink, 100_000).unwrap();
+        assert_eq!(sum, run.stats.total_cycles);
+        assert_eq!(stalls, run.stats.interlocks);
+        assert_eq!(sim.state().reg(Reg::new(5)), 10);
+    }
 
-        let mut plain = Interp::new(&program, &ext, ProcConfig::default());
-        let plain_stats = plain.run(1_000_000).unwrap().stats;
-
-        let mut collector = emx_obs::Collector::new();
-        let mut profiled = Interp::new(&program, &ext, ProcConfig::default());
-        let (run, profile) = profiled.run_profiled(1_000_000, &mut collector).unwrap();
-        assert_eq!(run.stats, plain_stats);
-        assert_eq!(profile.steps(), plain_stats.inst_count);
-        // Every retired instruction crosses all five checkpoints, so
-        // some time must have been attributed overall.
-        assert!(profile.total_ns() > 0);
-        assert_eq!(
-            collector.counter("iss.phase.steps"),
-            plain_stats.inst_count as f64
-        );
-
-        // A disabled collector selects the fast path: identical stats,
-        // empty profile, nothing recorded.
-        let mut off = emx_obs::Collector::disabled();
-        let mut fast = Interp::new(&program, &ext, ProcConfig::default());
-        let (run, profile) = fast.run_profiled(1_000_000, &mut off).unwrap();
-        assert_eq!(run.stats, plain_stats);
-        assert_eq!(profile, PhaseProfile::new());
-        assert!(off.counters().is_empty());
+    #[test]
+    fn fetch_flags_in_records() {
+        let program = Assembler::new().assemble("nop\nnop\nhalt").unwrap();
+        let ext = ExtensionSet::empty();
+        let mut hits = Vec::new();
+        let mut sink = |r: &InstRecord<'_>| hits.push(r.fetch_hit);
+        Interp::new(&program, &ext, ProcConfig::default())
+            .run_with_sink(&mut sink, 1_000)
+            .unwrap();
+        // First fetch misses the cold cache, the rest of the line hits.
+        assert_eq!(hits, vec![false, true, true]);
     }
 
     #[test]
     fn zero_cost_branch_config_does_not_underflow() {
         // Regression: flush_cycles was computed as `cost - 1`, which
         // panicked in debug builds when branch_taken_cycles or
-        // jump_cycles was configured to 0. The sinked path is the one
-        // that materializes flush_cycles.
+        // jump_cycles was configured to 0. The sinked run is the one
+        // that materializes flush_cycles. tests/differential.rs pins
+        // this case in the ISS golden.
         let src = "movi a2, 2\nl: addi a2, a2, -1\nbnez a2, l\nj done\ndone: halt";
         let program = Assembler::new().assemble(src).unwrap();
         let ext = ExtensionSet::empty();
@@ -552,30 +341,39 @@ mod tests {
         let run = interp.run_with_sink(&mut sink, 10_000).unwrap();
         assert!(run.halted);
         assert!(flushes.iter().all(|&f| f == 0));
-        // The micro-op fast path accepts the same config and agrees.
+        // The run without a sink accepts the same config and agrees.
         let mut fast = Interp::new(&program, &ext, config);
         assert_eq!(fast.run(10_000).unwrap().stats, run.stats);
     }
 
     #[test]
-    fn uop_and_legacy_agree_on_error_paths() {
-        // Errors must leave byte-identical partial stats and state on
-        // both engines: invalid pc (fall off the end), unaligned access,
-        // and the cycle limit.
-        for src in [
-            "nop\nnop\n",                       // falls off the text segment
-            "movi a2, 1\nl32i a3, 0(a2)\nhalt", // unaligned load
-            "l: j l\n",                         // spins into the cycle limit
+    fn sink_on_and_off_agree_on_error_paths() {
+        // Errors must leave identical partial stats and state with and
+        // without a sink: invalid pc (fall off the end), unaligned
+        // access, and the cycle limit. tests/differential.rs pins these
+        // cases in the ISS golden.
+        for (src, expected) in [
+            ("nop\nnop\n", SimError::InvalidPc(8)),
+            (
+                "movi a2, 1\nl32i a3, 0(a2)\nhalt",
+                SimError::Unaligned { addr: 1, size: 4 },
+            ),
+            ("l: j l\n", SimError::CycleLimit(100)),
         ] {
             let program = Assembler::new().assemble(src).unwrap();
             let ext = ExtensionSet::empty();
             let mut fast = Interp::new(&program, &ext, ProcConfig::default());
             let fast_err = fast.run(100).unwrap_err();
-            let mut slow = Interp::new(&program, &ext, ProcConfig::default());
-            let slow_err = slow.run_legacy(100).unwrap_err();
-            assert_eq!(fast_err, slow_err, "{src:?}");
-            assert_eq!(fast.stats(), slow.stats(), "{src:?}");
-            assert_eq!(fast.state().pc(), slow.state().pc(), "{src:?}");
+            let mut sunk = Interp::new(&program, &ext, ProcConfig::default());
+            let mut records = 0u64;
+            let mut sink = |_: &InstRecord<'_>| records += 1;
+            let sunk_err = sunk.run_with_sink(&mut sink, 100).unwrap_err();
+            assert_eq!(fast_err, expected, "{src:?}");
+            assert_eq!(sunk_err, expected, "{src:?}");
+            assert_eq!(fast.stats(), sunk.stats(), "{src:?}");
+            assert_eq!(fast.state().pc(), sunk.state().pc(), "{src:?}");
+            // The failing instruction retires nothing and emits no record.
+            assert_eq!(records, sunk.stats().inst_count, "{src:?}");
         }
     }
 
@@ -590,5 +388,155 @@ mod tests {
         let mut sink = |_: &InstRecord<'_>| {};
         let slow_stats = slow.run_with_sink(&mut sink, 1_000_000).unwrap().stats;
         assert_eq!(fast_stats, slow_stats);
+    }
+
+    // ---- instruction semantics --------------------------------------------
+
+    #[test]
+    fn arithmetic_semantics() {
+        let s = run_to_halt(
+            "movi a2, 7\nmovi a3, -3\nadd a4, a2, a3\nsub a5, a2, a3\nmul a6, a2, a3\n\
+             neg a7, a3\nabs a8, a3\nclz a9, a2\nmax a10, a2, a3\nminu a11, a2, a3\nhalt",
+        );
+        assert_eq!(s.reg(r(4)), 4);
+        assert_eq!(s.reg(r(5)), 10);
+        assert_eq!(s.reg(r(6)) as i32, -21);
+        assert_eq!(s.reg(r(7)), 3);
+        assert_eq!(s.reg(r(8)), 3);
+        assert_eq!(s.reg(r(9)), 29);
+        assert_eq!(s.reg(r(10)), 7);
+        assert_eq!(s.reg(r(11)), 7); // unsigned: -3 is huge
+    }
+
+    #[test]
+    fn shift_semantics() {
+        let s = run_to_halt(
+            "movi a2, 0x80000001\nslli a3, a2, 1\nsrli a4, a2, 1\nsrai a5, a2, 1\n\
+             rori a6, a2, 1\nmovi a7, 4\nsll a8, a2, a7\nhalt",
+        );
+        assert_eq!(s.reg(r(3)), 2);
+        assert_eq!(s.reg(r(4)), 0x4000_0000);
+        assert_eq!(s.reg(r(5)), 0xc000_0000);
+        assert_eq!(s.reg(r(6)), 0xc000_0000);
+        assert_eq!(s.reg(r(8)), 0x10);
+    }
+
+    #[test]
+    fn mul_variants() {
+        let s = run_to_halt(
+            "movi a2, 0x10000\nmovi a3, 0x10000\nmulh a4, a2, a3\nmuluh a5, a2, a3\n\
+             movi a6, -2\nmovi a7, 3\nmul16s a8, a6, a7\nmul16u a9, a6, a7\nhalt",
+        );
+        assert_eq!(s.reg(r(4)), 1);
+        assert_eq!(s.reg(r(5)), 1);
+        assert_eq!(s.reg(r(8)) as i32, -6);
+        assert_eq!(s.reg(r(9)), 0xfffe * 3);
+    }
+
+    #[test]
+    fn extui_and_sext() {
+        let s = run_to_halt(
+            "movi a2, 0x12345678\nextui a3, a2, 8, 12\nmovi a4, 0x80\nsext8 a5, a4\n\
+             movi a6, 0x8000\nsext16 a7, a6\nhalt",
+        );
+        assert_eq!(s.reg(r(3)), 0x456);
+        assert_eq!(s.reg(r(5)), 0xffff_ff80);
+        assert_eq!(s.reg(r(7)), 0xffff_8000);
+    }
+
+    #[test]
+    fn conditional_moves() {
+        let s = run_to_halt(
+            "movi a2, 5\nmovi a3, 0\nmovi a4, 99\nmoveqz a4, a2, a3\n\
+             movi a5, 99\nmovnez a5, a2, a3\nmovi a6, -1\nmovi a7, 99\nmovltz a7, a2, a6\nhalt",
+        );
+        assert_eq!(s.reg(r(4)), 5); // a3 == 0 → moved
+        assert_eq!(s.reg(r(5)), 99); // a3 == 0 → not moved
+        assert_eq!(s.reg(r(7)), 5); // a6 < 0 → moved
+    }
+
+    #[test]
+    fn memory_round_trip() {
+        let s = run_to_halt(
+            ".data\nbuf: .space 16\n.text\nmovi a2, buf\nmovi a3, 0x1234abcd\n\
+             s32i a3, 0(a2)\nl32i a4, 0(a2)\nl16ui a5, 0(a2)\nl16si a6, 2(a2)\n\
+             l8ui a7, 3(a2)\ns8i a3, 8(a2)\nl8si a8, 8(a2)\nhalt",
+        );
+        assert_eq!(s.reg(r(4)), 0x1234_abcd);
+        assert_eq!(s.reg(r(5)), 0xabcd);
+        assert_eq!(s.reg(r(6)), 0x1234);
+        assert_eq!(s.reg(r(7)), 0x12);
+        assert_eq!(s.reg(r(8)), 0xffff_ffcd);
+    }
+
+    #[test]
+    fn unaligned_access_faults() {
+        let program = Assembler::new()
+            .assemble("movi a2, 1\nl32i a3, 0(a2)\nhalt")
+            .unwrap();
+        let ext = ExtensionSet::empty();
+        let mut interp = Interp::new(&program, &ext, ProcConfig::default());
+        assert_eq!(
+            interp.run(1_000),
+            Err(SimError::Unaligned { addr: 1, size: 4 })
+        );
+    }
+
+    #[test]
+    fn calls_and_returns() {
+        let s = run_to_halt("movi a2, 1\ncall fn\nmovi a4, 7\nhalt\nfn: movi a3, 6\nret");
+        assert_eq!(s.reg(r(3)), 6);
+        assert_eq!(s.reg(r(4)), 7);
+    }
+
+    #[test]
+    fn computed_jump() {
+        let s = run_to_halt("movi a2, tgt\njx a2\nmovi a3, 1\nhalt\ntgt: movi a3, 2\nhalt");
+        assert_eq!(s.reg(r(3)), 2);
+    }
+
+    #[test]
+    fn branch_taken_and_untaken() {
+        let program = Assembler::new()
+            .assemble("movi a2, 0\nbeqz a2, yes\nnop\nyes: bnez a2, no\nhalt\nno: nop\nhalt")
+            .unwrap();
+        let ext = ExtensionSet::empty();
+        let mut kinds = Vec::new();
+        let mut sink = |r: &InstRecord<'_>| kinds.push(r.kind);
+        Interp::new(&program, &ext, ProcConfig::default())
+            .run_with_sink(&mut sink, 1_000)
+            .unwrap();
+        let class = |i: usize| match kinds[i] {
+            InstKind::Base(class, _) => class,
+            InstKind::Custom(id) => panic!("unexpected custom {id}"),
+        };
+        assert_eq!(class(1), DynClass::BranchTaken);
+        assert_eq!(class(2), DynClass::BranchUntaken);
+    }
+
+    #[test]
+    fn mask_branches() {
+        let s = run_to_halt(
+            "movi a2, 0b1110\nmovi a3, 0b0110\nmovi a4, 0\n\
+             ball a2, a3, t1\nj end\nt1: addi a4, a4, 1\n\
+             bany a2, a3, t2\nj end\nt2: addi a4, a4, 1\n\
+             movi a5, 0b0001\nbnone a2, a5, t3\nj end\nt3: addi a4, a4, 1\n\
+             end: halt",
+        );
+        assert_eq!(s.reg(r(4)), 3);
+    }
+
+    #[test]
+    fn invalid_pc_detected() {
+        let program = Assembler::new().assemble("nop\nnop\n").unwrap();
+        let ext = ExtensionSet::empty();
+        let mut interp = Interp::new(&program, &ext, ProcConfig::default());
+        assert_eq!(interp.run(1_000), Err(SimError::InvalidPc(8)));
+    }
+
+    #[test]
+    fn l32r_reads_literal() {
+        let s = run_to_halt(".data\nk: .word 0xcafef00d\n.text\nl32r a2, k\nhalt");
+        assert_eq!(s.reg(r(2)), 0xcafe_f00d);
     }
 }

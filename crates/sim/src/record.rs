@@ -84,7 +84,7 @@ pub struct InstRecord<'a> {
     pub custom: Option<CustomActivity<'a>>,
 }
 
-/// Consumer of the pipeline simulator's activity stream.
+/// Consumer of the ISS activity stream ([`crate::Interp::run_with_sink`]).
 ///
 /// The reference energy estimator implements this; tests use it to capture
 /// traces. Records borrow from simulator-internal buffers, so a sink that
@@ -98,8 +98,8 @@ pub trait ActivitySink {
     fn record(&mut self, record: &InstRecord<'_>);
 }
 
-/// A sink that discards everything (used by the fast ISS path; the
-/// optimizer removes the calls entirely).
+/// A sink that discards everything. Behind [`crate::Interp::run`]: its
+/// `ACTIVE = false` lets the engine skip building records entirely.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 

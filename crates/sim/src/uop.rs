@@ -1,4 +1,4 @@
-//! Pre-decoded micro-op execution engine — the ISS hot path.
+//! Pre-decoded micro-op execution engine — the one ISS.
 //!
 //! [`crate::Interp::run`] decodes each static instruction **once** into a
 //! dense micro-op table (dynamic class, cycle cost, register read mask and
@@ -9,18 +9,20 @@
 //! single cache access (see the proof at [`run`]), which amortizes the
 //! fetch bookkeeping over straight-line blocks.
 //!
-//! The engine is observationally identical to the legacy single-step
-//! interpreter ([`crate::Interp::run_legacy`]): the final `ExecStats`,
-//! architectural state and error (including which counters were already
-//! bumped when an error fired) are byte-for-byte the same. The legacy
-//! path stays behind `run_legacy`/`run_with_sink` for differential
-//! testing and for the activity-streaming consumers.
+//! The loop is generic over an [`ActivitySink`]: it builds an
+//! [`InstRecord`] per retired instruction only when `S::ACTIVE`, so the
+//! [`NullSink`] instantiation behind `Interp::run` carries no record
+//! bookkeeping, while `Interp::run_with_sink` streams the full
+//! stage-level activity the RTL-level reference estimator integrates.
+//! `tests/golden/iss-golden.txt` pins both against the outputs of the
+//! single-step interpreter this engine replaced.
 
 use emx_isa::program::layout;
-use emx_isa::{BaseClass, DynClass, Inst, Opcode, Program, Reg};
+use emx_isa::{encode, BaseClass, DynClass, Inst, Opcode, Program, Reg};
 use emx_tie::{CompiledInst, ExtensionSet};
 
 use crate::iss::{HazKind, Interp, RunResult};
+use crate::record::{ActivitySink, CustomActivity, InstKind, InstRecord, MemAccess, NullSink};
 use crate::SimError;
 
 /// Sentinel icache line id for instructions in the uncached region.
@@ -126,7 +128,7 @@ fn build<'e>(
                 Inst::Custom(c) => {
                     // An id outside the extension set builds a zero mask;
                     // execution errors with `UnknownCustom` before the mask
-                    // is ever consulted, exactly like the legacy path.
+                    // is ever consulted.
                     let read_mask = ext.get(c.id).map_or(0, |spec| {
                         let sig = spec.signature();
                         reg_bit((sig.gpr_reads >= 1).then_some(c.rs))
@@ -149,24 +151,31 @@ fn build<'e>(
     (uops, metas)
 }
 
-/// Runs the micro-op engine until `halt` or `max_cycles`.
+/// Runs the micro-op engine until `halt` or `max_cycles`, streaming one
+/// activity record per retired instruction into `sink`.
 ///
-/// Fetch batching: the legacy interpreter performs one icache access per
-/// dynamic instruction. Here, consecutive fetches from the same line
-/// (with no other icache access in between) collapse into one. This is
-/// stats-identical: the skipped accesses are guaranteed hits (the line
-/// was just filled or touched, and nothing else entered its set since),
-/// so no miss counter fires, and the skipped LRU refresh cannot change
-/// any later victim choice because the line is already the most recently
-/// used way of its set. Uncached fetches never touch the icache, so they
-/// do not interrupt a same-line span.
+/// Fetch batching: consecutive fetches from the same icache line (with
+/// no other icache access in between) collapse into one cache access.
+/// This is stats-identical to probing on every fetch: the skipped
+/// accesses are guaranteed hits (the line was just filled or touched,
+/// and nothing else entered its set since), so no miss counter fires and
+/// the record's `fetch_hit` is `true`, and the skipped LRU refresh cannot
+/// change any later victim choice because the line is already the most
+/// recently used way of its set. Uncached fetches never touch the icache,
+/// so they do not interrupt a same-line span.
 ///
 /// # Errors
 ///
-/// Same conditions (and byte-identical partial statistics) as the legacy
-/// [`Interp::run_legacy`].
-pub(crate) fn run<'a>(it: &mut Interp<'a>, max_cycles: u64) -> Result<RunResult, SimError> {
-    run_impl::<false>(it, max_cycles, &mut [])
+/// [`SimError::CycleLimit`], [`SimError::InvalidPc`],
+/// [`SimError::Unaligned`], [`SimError::UnknownCustom`] or a custom
+/// datapath error. The counters bumped before the error fired stay in
+/// the interpreter's statistics; the failing instruction emits no record.
+pub(crate) fn run<'a, S: ActivitySink>(
+    it: &mut Interp<'a>,
+    max_cycles: u64,
+    sink: &mut S,
+) -> Result<RunResult, SimError> {
+    run_impl::<S, false>(it, max_cycles, &mut [], sink)
 }
 
 /// Runs like [`run`] while counting retired executions of each static
@@ -183,19 +192,26 @@ pub(crate) fn run_counting<'a>(
     max_cycles: u64,
     counts: &mut [u64],
 ) -> Result<RunResult, SimError> {
-    run_impl::<true>(it, max_cycles, counts)
+    run_impl::<NullSink, true>(it, max_cycles, counts, &mut NullSink)
 }
 
 #[allow(clippy::too_many_lines)] // one arm per opcode: flat is clearest
-fn run_impl<'a, const COUNT: bool>(
+fn run_impl<'a, S: ActivitySink, const COUNT: bool>(
     it: &mut Interp<'a>,
     max_cycles: u64,
     counts: &mut [u64],
+    sink: &mut S,
 ) -> Result<RunResult, SimError> {
     let program: &'a Program = it.program;
     let ext: &'a ExtensionSet = it.ext;
     let (uops, metas) = build(program, ext, &it.config);
     let text_base = program.address_of(0);
+    // Fetched encodings, for the records' fetch-switching energy.
+    let words: Vec<u32> = if S::ACTIVE {
+        program.text().iter().map(encode).collect()
+    } else {
+        Vec::new()
+    };
 
     let Interp {
         config,
@@ -267,8 +283,8 @@ fn run_impl<'a, const COUNT: bool>(
             None
         };
         let Some(idx) = idx else {
-            // The legacy path charges the fetch before discovering the
-            // bad pc; keep those counter bumps on the error path.
+            // The fetch is charged before the bad pc is discovered; keep
+            // those counter bumps on the error path.
             if layout::is_uncached(pc) {
                 ucf += 1;
             } else if !icache.access(pc, false).hit {
@@ -280,7 +296,9 @@ fn run_impl<'a, const COUNT: bool>(
         let uop = &uops[idx];
 
         let mut penalty: u32 = 0;
-        if uop.line == UNCACHED_LINE {
+        let fetch_uncached = uop.line == UNCACHED_LINE;
+        let mut fetch_hit = !fetch_uncached;
+        if fetch_uncached {
             ucf += 1;
             penalty += ucf_pen;
         } else if u64::from(uop.line) != last_line {
@@ -288,6 +306,7 @@ fn run_impl<'a, const COUNT: bool>(
             if !icache.access(pc, false).hit {
                 icm += 1;
                 penalty += icm_pen;
+                fetch_hit = false;
             }
         }
 
@@ -304,12 +323,17 @@ fn run_impl<'a, const COUNT: bool>(
                 let mut class_idx = uop.class_taken as usize;
                 let mut cost = uop.cost_taken;
                 let mut haz_new: Option<(Reg, HazKind)> = None;
-                let mut mem_access: Option<(u32, bool)> = None;
+                // (address, write, size, value loaded or stored)
+                let mut mem_access: Option<(u32, bool, u32, u32)> = None;
+                let mut result: Option<(Reg, u32)> = None;
 
                 macro_rules! wr {
                     ($v:expr) => {{
                         let v: u32 = $v;
                         state.set_reg(b.rd, v);
+                        if S::ACTIVE {
+                            result = Some((b.rd, v));
+                        }
                     }};
                 }
                 macro_rules! aligned {
@@ -414,15 +438,15 @@ fn run_impl<'a, const COUNT: bool>(
                     // --- loads -------------------------------------------
                     L8ui | L8si | L16ui | L16si | L32i => {
                         let addr = rs.wrapping_add(imm as u32);
-                        let raw = match b.op {
-                            L8ui | L8si => u32::from(state.mem.read_u8(addr)),
+                        let (size, raw) = match b.op {
+                            L8ui | L8si => (1, u32::from(state.mem.read_u8(addr))),
                             L16ui | L16si => {
                                 aligned!(addr, 2);
-                                u32::from(state.mem.read_u16(addr))
+                                (2, u32::from(state.mem.read_u16(addr)))
                             }
                             _ => {
                                 aligned!(addr, 4);
-                                state.mem.read_u32(addr)
+                                (4, state.mem.read_u32(addr))
                             }
                         };
                         let value = match b.op {
@@ -431,41 +455,53 @@ fn run_impl<'a, const COUNT: bool>(
                             _ => raw,
                         };
                         wr!(value);
-                        mem_access = Some((addr, false));
+                        mem_access = Some((addr, false, size, raw));
                         haz_new = Some((b.rd, HazKind::Load));
                     }
                     L32r => {
                         let addr = b.target;
                         aligned!(addr, 4);
-                        wr!(state.mem.read_u32(addr));
-                        mem_access = Some((addr, false));
+                        let value = state.mem.read_u32(addr);
+                        wr!(value);
+                        mem_access = Some((addr, false, 4, value));
                         haz_new = Some((b.rd, HazKind::Load));
                     }
                     // --- stores ------------------------------------------
                     S8i | S16i | S32i => {
                         let addr = rs.wrapping_add(imm as u32);
-                        match b.op {
-                            S8i => state.mem.write_u8(addr, rt as u8),
+                        let size = match b.op {
+                            S8i => {
+                                state.mem.write_u8(addr, rt as u8);
+                                1
+                            }
                             S16i => {
                                 aligned!(addr, 2);
                                 state.mem.write_u16(addr, rt as u16);
+                                2
                             }
                             _ => {
                                 aligned!(addr, 4);
                                 state.mem.write_u32(addr, rt);
+                                4
                             }
-                        }
-                        mem_access = Some((addr, true));
+                        };
+                        mem_access = Some((addr, true, size, rt));
                     }
                     // --- jumps -------------------------------------------
                     J => next_pc = b.target,
                     Jx => next_pc = rs,
                     Call => {
                         state.set_reg(Reg::LINK, next_pc);
+                        if S::ACTIVE {
+                            result = Some((Reg::LINK, next_pc));
+                        }
                         next_pc = b.target;
                     }
                     Callx => {
                         state.set_reg(Reg::LINK, next_pc);
+                        if S::ACTIVE {
+                            result = Some((Reg::LINK, next_pc));
+                        }
                         next_pc = rs;
                     }
                     Ret => next_pc = state.reg(Reg::LINK),
@@ -516,27 +552,67 @@ fn run_impl<'a, const COUNT: bool>(
                 class_counts[class_idx] += 1;
                 opcode_cycles[uop.op_idx as usize] += u64::from(cost);
 
-                if let Some((addr, write)) = mem_access {
-                    if layout::is_uncached(addr) {
+                let mut mem = None;
+                if let Some((addr, write, size, value)) = mem_access {
+                    let uncached = layout::is_uncached(addr);
+                    let (hit, writeback) = if uncached {
                         dcm += 1;
                         penalty += ucf_pen;
-                    } else if !dcache.access(addr, write).hit {
-                        dcm += 1;
-                        penalty += dcm_pen;
+                        (false, false)
+                    } else {
+                        let acc = dcache.access(addr, write);
+                        if !acc.hit {
+                            dcm += 1;
+                            penalty += dcm_pen;
+                        }
+                        (acc.hit, acc.writeback)
+                    };
+                    if S::ACTIVE {
+                        mem = Some(MemAccess {
+                            addr,
+                            size,
+                            write,
+                            value,
+                            hit,
+                            writeback,
+                            uncached,
+                        });
                     }
                 }
 
                 haz = haz_new;
                 haz_mask = haz_new.map_or(0, |(r, _)| 1u32 << r.index());
-                total += u64::from(cost + stall + penalty);
+                let cycles = cost + stall + penalty;
+                total += u64::from(cycles);
+
+                if S::ACTIVE {
+                    sink.record(&InstRecord {
+                        pc,
+                        word: words[idx],
+                        inst: uop.inst,
+                        kind: InstKind::Base(DynClass::ALL[class_idx], b.op.exec_unit()),
+                        operand_a: rs,
+                        operand_b: rt,
+                        result,
+                        cycles,
+                        stall_cycles: stall,
+                        // `saturating_sub`: a zero-cost branch/jump config
+                        // (legal, if unusual) has no flush cycles.
+                        flush_cycles: cost.saturating_sub(1),
+                        fetch_hit,
+                        fetch_uncached,
+                        mem,
+                        custom: None,
+                    });
+                }
             }
             Inst::Custom(c) => {
                 let Some(meta) = metas.get(c.id.0 as usize) else {
                     flush!();
                     return Err(SimError::UnknownCustom(c.id));
                 };
-                let result = match crate::exec::execute_custom(state, meta.spec, &c) {
-                    Ok((_, _, result)) => result,
+                let (rs, rt, result) = match crate::exec::execute_custom(state, meta.spec, &c) {
+                    Ok(outcome) => outcome,
                     Err(e) => {
                         flush!();
                         return Err(e);
@@ -560,7 +636,32 @@ fn run_impl<'a, const COUNT: bool>(
 
                 haz = result.map(|(r, _)| (r, HazKind::Custom));
                 haz_mask = haz.map_or(0, |(r, _)| 1u32 << r.index());
-                total += u64::from(meta.cost + stall + penalty);
+                let cycles = meta.cost + stall + penalty;
+                total += u64::from(cycles);
+
+                if S::ACTIVE {
+                    sink.record(&InstRecord {
+                        pc,
+                        word: words[idx],
+                        inst: uop.inst,
+                        kind: InstKind::Custom(c.id),
+                        operand_a: rs,
+                        operand_b: rt,
+                        result,
+                        cycles,
+                        stall_cycles: stall,
+                        flush_cycles: 0,
+                        fetch_hit,
+                        fetch_uncached,
+                        mem: None,
+                        custom: Some(CustomActivity {
+                            id: c.id,
+                            latency: meta.spec.latency(),
+                            uses_gpr: meta.uses_gpr,
+                            node_values: state.last_custom_nodes(),
+                        }),
+                    });
+                }
             }
         }
 

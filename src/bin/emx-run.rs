@@ -216,28 +216,6 @@ fn run(options: &Options) -> Result<(), EmxError> {
         }
     }
 
-    // Phase attribution: where the ISS itself spends host time. Re-runs
-    // the simulation with the phase recorder active (the normal run
-    // above stays on the uninstrumented fast path).
-    if options.profile.is_some() {
-        let span = obs.begin("iss-phase-profile");
-        let mut profiled = Interp::new(&program, &ext, ProcConfig::default());
-        let profile = if obs.is_enabled() {
-            profiled
-                .run_profiled(options.max_cycles, &mut obs)
-                .map_err(sim_error)?
-                .1
-        } else {
-            let mut local = Collector::new();
-            profiled
-                .run_profiled(options.max_cycles, &mut local)
-                .map_err(sim_error)?
-                .1
-        };
-        obs.end(span);
-        println!("\nISS phase breakdown (host time):\n{profile}");
-    }
-
     let mut model_micros = None;
     if let Some(path) = &options.model_path {
         let text = std::fs::read_to_string(path).map_err(|e| EmxError::io(path, &e))?;

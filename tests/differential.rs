@@ -1,120 +1,345 @@
-//! Differential suite for the micro-op interpreter: the pre-decoded
-//! fast path (`Interp::run`) must be **observationally identical** to
-//! the legacy single-step interpreter (`Interp::run_legacy`) — same
-//! `ExecStats` to the last counter, same architectural state, same
-//! typed error at the same instruction — across every committed
-//! workload and across randomized programs.
+//! Differential suite for the ISS against a frozen golden.
 //!
-//! The unit tests in `emx-sim` prove agreement on directed micro-cases
-//! (interlocks, flush accounting, error paths); this suite closes the
-//! gap at scale: all 63 training programs (25 kernels + 9 calibration
-//! pairs + 6 width variants + 23 directed cases), the Table II
-//! applications, and proptest-generated loops with random ALU/memory
-//! bodies under both generous and starved cycle budgets.
+//! `tests/golden/iss-golden.txt` holds what the retired single-step
+//! interpreter observed on every input below: for each entry, FNV-1a
+//! digests of the canonical `ExecStats::to_json()` text, of the final
+//! registers, pc and run outcome (halt or typed error), and of the full
+//! `InstRecord` activity stream. The micro-op engine must reproduce every
+//! entry byte for byte, with its activity sink both on and off, so the
+//! oracle outlives the engine that produced it.
+//!
+//! Inputs: all 63 training programs (25 kernels + 9 calibration pairs +
+//! 6 width variants + 23 directed cases), the Table II applications,
+//! starved cycle budgets that cut programs off mid-flight, the error-path
+//! and zero-cost-branch micro-cases, and the 64 deterministic cases of
+//! each proptest below (the vendored proptest seeds every test from its
+//! name, so the generated programs are fixed). A generated case with no
+//! golden entry fails; it is never skipped.
+//!
+//! Regenerate only after a deliberate semantics change:
+//! `cargo test --release --test differential -- --ignored`.
 
-use emx::isa::Reg;
-use emx::sim::{ExecStats, Interp, ProcConfig, RunResult, SimError};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::sync::OnceLock;
+
+use emx::isa::{encode, Program, Reg};
+use emx::sim::{
+    ActivitySink, ExecStats, InstKind, InstRecord, Interp, ProcConfig, RunResult, SimError,
+};
 use emx::workloads::{suite, Workload};
 
 const BUDGET: u64 = u32::MAX as u64;
 
-/// Runs one workload on both engines and asserts byte-identical
-/// observable behaviour: the run result (or error), the statistics, and
-/// the architectural state.
-fn assert_engines_agree(w: &Workload, budget: u64) {
-    let config = ProcConfig::default();
-    let mut fast = Interp::new(w.program(), w.ext(), config.clone());
-    let fast_run: Result<RunResult, SimError> = fast.run(budget);
-    let mut slow = Interp::new(w.program(), w.ext(), config);
-    let slow_run = slow.run_legacy(budget);
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/iss-golden.txt");
 
-    match (&fast_run, &slow_run) {
-        (Ok(f), Ok(s)) => {
-            assert_eq!(f.stats, s.stats, "{}: stats diverge", w.name());
-            assert_eq!(f.halted, s.halted, "{}: halt status diverges", w.name());
-        }
-        (Err(f), Err(s)) => assert_eq!(f, s, "{}: errors diverge", w.name()),
-        _ => panic!(
-            "{}: one engine failed where the other succeeded: fast={fast_run:?} legacy={slow_run:?}",
-            w.name()
-        ),
+/// 64-bit FNV-1a.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    // Partial stats and state must agree even on the error paths.
-    assert_eq!(fast.stats(), slow.stats(), "{}: partial stats", w.name());
-    assert_eq!(fast.state().pc(), slow.state().pc(), "{}: pc", w.name());
-    for r in 0..16u8 {
-        assert_eq!(
-            fast.state().reg(Reg::new(r)),
-            slow.state().reg(Reg::new(r)),
-            "{}: register a{r}",
-            w.name()
-        );
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn of(bytes: &[u8]) -> u64 {
+        let mut h = Fnv::new();
+        h.bytes(bytes);
+        h.0
     }
 }
 
-/// The acceptance property for the engine swap: every committed
-/// workload — the full 63-program training suite plus the Table II
-/// applications — produces byte-identical `ExecStats` on both engines.
+/// Folds every field of every record into one digest.
+struct RecordDigest<'p> {
+    program: &'p Program,
+    hash: Fnv,
+    count: u64,
+}
+
+impl ActivitySink for RecordDigest<'_> {
+    fn record(&mut self, r: &InstRecord<'_>) {
+        // `inst` is the static instruction at `pc`; check it rather than
+        // hash a formatted copy per record.
+        assert_eq!(
+            Some(&r.inst),
+            self.program.fetch(r.pc),
+            "inst at {:#x}",
+            r.pc
+        );
+        assert_eq!(r.word, encode(&r.inst), "word at {:#x}", r.pc);
+        let h = &mut self.hash;
+        h.u32(r.pc);
+        h.u32(r.word);
+        match r.kind {
+            InstKind::Base(class, unit) => h.bytes(&[0, class.index() as u8, unit as u8]),
+            InstKind::Custom(id) => {
+                h.bytes(&[1]);
+                h.u32(u32::from(id.0));
+            }
+        }
+        h.u32(r.operand_a);
+        h.u32(r.operand_b);
+        match r.result {
+            Some((reg, value)) => {
+                h.bytes(&[1, reg.index() as u8]);
+                h.u32(value);
+            }
+            None => h.bytes(&[0]),
+        }
+        h.u32(r.cycles);
+        h.u32(r.stall_cycles);
+        h.u32(r.flush_cycles);
+        h.bytes(&[u8::from(r.fetch_hit), u8::from(r.fetch_uncached)]);
+        match r.mem {
+            Some(m) => {
+                h.bytes(&[1]);
+                h.u32(m.addr);
+                h.u32(m.size);
+                h.u32(m.value);
+                h.bytes(&[u8::from(m.write), u8::from(m.hit), u8::from(m.writeback)]);
+                h.bytes(&[u8::from(m.uncached)]);
+            }
+            None => h.bytes(&[0]),
+        }
+        match r.custom {
+            Some(c) => {
+                h.bytes(&[1]);
+                h.u32(u32::from(c.id.0));
+                h.bytes(&[c.latency, u8::from(c.uses_gpr)]);
+                h.u64(c.node_values.len() as u64);
+                for &v in c.node_values {
+                    h.u64(v);
+                }
+            }
+            None => h.bytes(&[0]),
+        }
+        self.count += 1;
+    }
+}
+
+fn state_digest(sim: &Interp<'_>, outcome: &Result<RunResult, SimError>) -> u64 {
+    let mut text = match outcome {
+        Ok(run) => format!("halted={}", run.halted),
+        Err(e) => format!("error={e:?}"),
+    };
+    let _ = write!(text, " pc={:#x}", sim.state().pc());
+    for r in 0..16u8 {
+        let _ = write!(text, " a{r}={:#x}", sim.state().reg(Reg::new(r)));
+    }
+    Fnv::of(text.as_bytes())
+}
+
+/// Runs `w` with the activity sink on and off, asserts the two runs
+/// agree, and returns the golden line of digests of what they observed.
+fn observe(w: &Workload, config: &ProcConfig, budget: u64) -> String {
+    let mut digest = RecordDigest {
+        program: w.program(),
+        hash: Fnv::new(),
+        count: 0,
+    };
+    let mut sunk = Interp::new(w.program(), w.ext(), config.clone());
+    let sunk_run = sunk.run_with_sink(&mut digest, budget);
+
+    let mut plain = Interp::new(w.program(), w.ext(), config.clone());
+    let plain_run = plain.run(budget);
+    assert_eq!(
+        sunk_run,
+        plain_run,
+        "{}: sink changed the outcome",
+        w.name()
+    );
+    assert_eq!(
+        sunk.stats(),
+        plain.stats(),
+        "{}: sink changed stats",
+        w.name()
+    );
+    if let Ok(run) = &plain_run {
+        assert_eq!(&run.stats, plain.stats(), "{}: returned stats", w.name());
+    }
+    assert_eq!(
+        digest.count,
+        plain.stats().inst_count,
+        "{}: one record per retired instruction",
+        w.name()
+    );
+
+    let state = state_digest(&plain, &plain_run);
+    assert_eq!(
+        state,
+        state_digest(&sunk, &sunk_run),
+        "{}: sink changed the final state",
+        w.name()
+    );
+    format!(
+        "stats={:016x} state={state:016x} records={:016x}",
+        Fnv::of(plain.stats().to_json().to_string().as_bytes()),
+        digest.hash.0
+    )
+}
+
+thread_local! {
+    /// `Some` while the ignored bless test is regenerating the golden.
+    static BLESSING: RefCell<Option<BTreeMap<String, String>>> = const { RefCell::new(None) };
+}
+
+fn golden() -> &'static BTreeMap<String, String> {
+    static GOLDEN_MAP: OnceLock<BTreeMap<String, String>> = OnceLock::new();
+    GOLDEN_MAP.get_or_init(|| {
+        let text = std::fs::read_to_string(GOLDEN).expect("tests/golden/iss-golden.txt exists");
+        text.lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .map(|l| {
+                let (key, value) = l.split_once(' ').expect("`<key> <digests>` line");
+                (key.to_owned(), value.to_owned())
+            })
+            .collect()
+    })
+}
+
+/// Checks `w` against the golden entry `key` (or records it while
+/// blessing).
+fn check(key: &str, w: &Workload, config: &ProcConfig, budget: u64) {
+    let line = observe(w, config, budget);
+    let blessed = BLESSING.with(|b| {
+        b.borrow_mut().as_mut().map(|map| {
+            if let Some(old) = map.insert(key.to_owned(), line.clone()) {
+                assert_eq!(old, line, "{key}: one input, two observations");
+            }
+        })
+    });
+    if blessed.is_none() {
+        let Some(expected) = golden().get(key) else {
+            panic!("{key}: no golden entry (regenerate only after a deliberate semantics change)");
+        };
+        assert_eq!(&line, expected, "{key}: diverges from the frozen golden");
+    }
+}
+
+/// Every committed workload — the full 63-program training suite plus
+/// the Table II applications — reproduces the legacy interpreter's
+/// frozen stats, state and activity stream.
 #[test]
 fn micro_op_engine_matches_legacy_on_every_committed_workload() {
     let mut all = suite::full_training_suite();
     all.extend(emx::workloads::apps::all());
     assert!(all.len() >= 63 + 5, "the committed corpus shrank");
     for w in &all {
-        assert_engines_agree(w, BUDGET);
-    }
-}
-
-/// Phase-counter neutrality at suite scale: enabling the phase profiler
-/// (which forces the instrumented path) must not change any statistic,
-/// and the profile must account for exactly the retired instructions.
-#[test]
-fn phase_profiling_is_stats_neutral_across_the_suite() {
-    // Every 5th program keeps this cheap while still crossing base,
-    // calibration, width-variant and directed programs plus TIE
-    // extensions of several shapes.
-    for w in suite::full_training_suite().iter().step_by(5) {
-        let config = ProcConfig::default();
-        let mut plain = Interp::new(w.program(), w.ext(), config.clone());
-        let plain_stats = plain.run(BUDGET).expect("suite program halts").stats;
-
-        let mut collector = emx::obs::Collector::new();
-        let mut profiled = Interp::new(w.program(), w.ext(), config);
-        let (run, profile) = profiled
-            .run_profiled(BUDGET, &mut collector)
-            .expect("suite program halts under profiling");
-        assert_eq!(
-            run.stats,
-            plain_stats,
-            "{}: profiling changed stats",
-            w.name()
-        );
-        assert_eq!(
-            profile.steps(),
-            plain_stats.inst_count,
-            "{}: profile step count",
-            w.name()
+        check(
+            &format!("workload/{}", w.name()),
+            w,
+            &ProcConfig::default(),
+            BUDGET,
         );
     }
 }
 
 /// A starved cycle budget turns most suite programs into `CycleLimit`
-/// errors mid-flight; the engines must agree on the partial execution
-/// too, for every budget shape.
+/// errors mid-flight; the partial execution must match too, for every
+/// budget shape.
 #[test]
 fn engines_agree_under_starved_cycle_budgets() {
     for (i, w) in suite::characterization_suite().iter().enumerate() {
         // Budgets spread from "dies in the prologue" to "dies deep in
         // the loop", varying per program so cut points differ.
         let budget = [3, 17, 101, 997][i % 4];
-        assert_engines_agree(w, budget);
+        check(
+            &format!("starved/{}/{budget}", w.name()),
+            w,
+            &ProcConfig::default(),
+            budget,
+        );
     }
+}
+
+/// Directed error paths — falling off the text segment, an unaligned
+/// load, the cycle limit — leave the frozen partial stats and state, and
+/// a zero-cost branch/jump config yields the frozen flush accounting.
+#[test]
+fn error_paths_and_zero_cost_branches_match_the_golden() {
+    let micro = |name: &str, src: &str| {
+        Workload::try_assemble(
+            name,
+            "directed micro-case",
+            emx::tie::ExtensionSet::empty(),
+            src,
+            vec![],
+        )
+        .expect("micro-case assembles")
+    };
+    for (name, src) in [
+        ("invalid-pc", "nop\nnop\n"),
+        ("unaligned", "movi a2, 1\nl32i a3, 0(a2)\nhalt"),
+        ("cycle-limit", "l: j l\n"),
+    ] {
+        check(
+            &format!("micro/{name}"),
+            &micro(name, src),
+            &ProcConfig::default(),
+            100,
+        );
+    }
+    let zero_cost = ProcConfig {
+        branch_taken_cycles: 0,
+        jump_cycles: 0,
+        ..ProcConfig::default()
+    };
+    check(
+        "micro/zero-cost-branches",
+        &micro(
+            "zero-cost-branches",
+            "movi a2, 2\nl: addi a2, a2, -1\nbnez a2, l\nj done\ndone: halt",
+        ),
+        &zero_cost,
+        10_000,
+    );
+}
+
+/// Regenerates `tests/golden/iss-golden.txt` from the current engine by
+/// running every golden-checking test in record mode. Run only after a
+/// deliberate semantics change:
+/// `cargo test --release --test differential -- --ignored`.
+#[test]
+#[ignore = "rewrites the ISS golden"]
+fn bless_iss_golden() {
+    BLESSING.with(|b| *b.borrow_mut() = Some(BTreeMap::new()));
+    micro_op_engine_matches_legacy_on_every_committed_workload();
+    engines_agree_under_starved_cycle_budgets();
+    error_paths_and_zero_cost_branches_match_the_golden();
+    engines_agree_on_generated_programs();
+    generated_program_stats_round_trip_json();
+    let map = BLESSING
+        .with(|b| b.borrow_mut().take())
+        .expect("blessing map");
+    let mut text = String::from(
+        "# ISS golden: FNV-1a digests of ExecStats::to_json(), the final state and the\n\
+         # InstRecord stream per input. Regenerate: see tests/differential.rs.\n",
+    );
+    for (key, line) in &map {
+        let _ = writeln!(text, "{key} {line}");
+    }
+    std::fs::write(GOLDEN, text).expect("golden written");
 }
 
 // ---------------------------------------------------------------------
 // Randomized differential: generated loop programs with ALU and memory
 // bodies. The generator only emits well-formed instructions; malformed
-// encodings are the assembler's tests' concern, not the engines'.
+// encodings are the assembler's tests' concern, not the engine's.
 // ---------------------------------------------------------------------
 
 use proptest::prelude::*;
@@ -182,8 +407,9 @@ fn body_op() -> impl Strategy<Value = BodyOp> {
         })
 }
 
-/// Assembles a counted loop around the generated body.
-fn loop_program(seeds: &[i32], body: &[BodyOp], iters: u32) -> Workload {
+/// Assembles a counted loop around the generated body, keyed in the
+/// golden by a digest of its source.
+fn loop_program(seeds: &[i32], body: &[BodyOp], iters: u32) -> (String, Workload) {
     let mut src = String::from(".data\nbuf: .word 11, 22, 33, 44, 55, 66, 77, 88\n.text\n");
     for (i, seed) in seeds.iter().enumerate() {
         src.push_str(&format!("movi a{}, {seed}\n", i + 2));
@@ -194,20 +420,22 @@ fn loop_program(seeds: &[i32], body: &[BodyOp], iters: u32) -> Workload {
         src.push('\n');
     }
     src.push_str("addi a13, a13, -1\nbnez a13, loop\nhalt\n");
-    Workload::try_assemble(
+    let key = format!("generated/{:016x}", Fnv::of(src.as_bytes()));
+    let w = Workload::try_assemble(
         "generated",
         "proptest differential program",
         emx::tie::ExtensionSet::empty(),
         &src,
         vec![],
     )
-    .expect("generated source assembles")
+    .expect("generated source assembles");
+    (key, w)
 }
 
 proptest! {
-    /// Any generated loop program behaves identically on both engines,
-    /// both to completion and under a starved budget that cuts it off
-    /// mid-loop (including mid-interlock and mid-miss).
+    /// Any generated loop program matches the golden both to completion
+    /// and under a starved budget that cuts it off mid-loop (including
+    /// mid-interlock and mid-miss).
     #[test]
     fn engines_agree_on_generated_programs(
         seeds in proptest::collection::vec(-1000i32..1000, 10),
@@ -215,21 +443,22 @@ proptest! {
         iters in 1u32..24,
         starved_budget in 5u64..400,
     ) {
-        let w = loop_program(&seeds, &body, iters);
-        assert_engines_agree(&w, BUDGET);
-        assert_engines_agree(&w, starved_budget);
+        let (key, w) = loop_program(&seeds, &body, iters);
+        let config = ProcConfig::default();
+        check(&format!("{key}/{BUDGET}"), &w, &config, BUDGET);
+        check(&format!("{key}/{starved_budget}"), &w, &config, starved_budget);
     }
 
-    /// The stats documents of both engines round-trip identically —
-    /// ties the differential guarantee to the persisted-extraction
-    /// representation the DSE cache relies on.
+    /// The stats documents round-trip — ties the golden to the
+    /// persisted-extraction representation the DSE cache relies on.
     #[test]
     fn generated_program_stats_round_trip_json(
         seeds in proptest::collection::vec(-50i32..50, 10),
         body in proptest::collection::vec(body_op(), 1..12),
         iters in 1u32..8,
     ) {
-        let w = loop_program(&seeds, &body, iters);
+        let (key, w) = loop_program(&seeds, &body, iters);
+        check(&format!("{key}/{BUDGET}"), &w, &ProcConfig::default(), BUDGET);
         let mut sim = Interp::new(w.program(), w.ext(), ProcConfig::default());
         let stats = sim.run(BUDGET).expect("halts").stats;
         prop_assert_eq!(ExecStats::from_json(&stats.to_json()), Some(stats));
