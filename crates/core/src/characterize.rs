@@ -554,7 +554,7 @@ mod tests {
         assert!((report.r_squared - plain.fit.r_squared()).abs() < 1e-12);
 
         // Spans: the top-level phase, one per case, the solve, and the
-        // reference estimator's two phases nested per case.
+        // reference estimator's one fused pass nested per case.
         let spans = obs.spans();
         assert_eq!(spans[0].name, "characterize");
         assert_eq!(

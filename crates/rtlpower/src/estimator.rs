@@ -1,9 +1,7 @@
-use emx_hwlib::{Category, HwEnergyParams};
-use emx_isa::{CustomId, Program, Reg};
+use emx_hwlib::{Category, DfGraph, HwEnergyParams};
+use emx_isa::{CustomId, Program};
 use emx_obs::Collector;
-use emx_sim::{
-    ActivitySink, ExecStats, InstKind, InstRecord, Interp, MemAccess, ProcConfig, SimError,
-};
+use emx_sim::{ActivitySink, ExecStats, InstKind, InstRecord, Interp, ProcConfig, SimError};
 use emx_tie::{ExtensionSet, InputBind, OutputBind};
 
 use crate::gates::ExStageNets;
@@ -41,10 +39,11 @@ struct PlanComponent {
 
 /// Precompiled energy plan for one custom instruction.
 #[derive(Debug, Clone)]
-struct InstPlan {
+struct InstPlan<'e> {
+    /// The instruction's datapath, re-evaluated on every idle cycle.
+    graph: &'e DfGraph,
     components: Vec<PlanComponent>,
     control: f64,
-    node_count: usize,
     gpr_read_ports: u32,
     /// Values fed to the graph when the instruction is *idle*: the
     /// GPR-bound inputs follow the shared operand buses, everything else
@@ -60,7 +59,7 @@ enum IdleInput {
     Zero,
 }
 
-fn build_plans(ext: &ExtensionSet) -> Vec<InstPlan> {
+fn build_plans(ext: &ExtensionSet) -> Vec<InstPlan<'_>> {
     ext.iter()
         .map(|inst| {
             let graph = inst.graph();
@@ -109,9 +108,9 @@ fn build_plans(ext: &ExtensionSet) -> Vec<InstPlan> {
                 .iter()
                 .any(|i| !matches!(i, IdleInput::Zero));
             InstPlan {
+                graph,
                 components,
                 control: inst.control_complexity(),
-                node_count: graph.node_count(),
                 gpr_read_ports: u32::from(sig.gpr_reads),
                 idle_input_template,
                 has_gpr_input,
@@ -120,54 +119,14 @@ fn build_plans(ext: &ExtensionSet) -> Vec<InstPlan> {
         .collect()
 }
 
-/// One row of the materialized activity trace — the in-memory analogue of
-/// the RTL simulation dump the paper feeds from ModelSim to WattWatcher.
-#[derive(Debug, Clone)]
-struct TraceRecord {
-    word: u32,
-    kind: InstKind,
-    operand_a: u32,
-    operand_b: u32,
-    result: Option<(Reg, u32)>,
-    cycles: u32,
-    stall_cycles: u32,
-    flush_cycles: u32,
-    fetch_hit: bool,
-    fetch_uncached: bool,
-    mem: Option<MemAccess>,
-    custom_nodes: Option<(CustomId, Vec<u64>)>,
-}
-
-/// Phase-1 sink: materializes the full trace.
-struct TraceCollector {
-    trace: Vec<TraceRecord>,
-}
-
-impl ActivitySink for TraceCollector {
-    fn record(&mut self, r: &InstRecord<'_>) {
-        self.trace.push(TraceRecord {
-            word: r.word,
-            kind: r.kind,
-            operand_a: r.operand_a,
-            operand_b: r.operand_b,
-            result: r.result,
-            cycles: r.cycles,
-            stall_cycles: r.stall_cycles,
-            flush_cycles: r.flush_cycles,
-            fetch_hit: r.fetch_hit,
-            fetch_uncached: r.fetch_uncached,
-            mem: r.mem,
-            custom_nodes: r.custom.map(|c| (c.id, c.node_values.to_vec())),
-        });
-    }
-}
-
-/// Phase-2 integrator: walks the trace cycle by cycle and net by net.
+/// The net-level energy integrator (WattWatcher's role). It is the
+/// detailed simulation's activity sink: each retired instruction is
+/// charged cycle by cycle and net by net as it streams out of the engine,
+/// so no trace is ever stored.
 struct Integrator<'p> {
     base: &'p BaseEnergyParams,
     hw: &'p HwEnergyParams,
-    ext: &'p ExtensionSet,
-    plans: Vec<InstPlan>,
+    plans: Vec<InstPlan<'p>>,
     prev_word: u32,
     prev_a: u32,
     prev_b: u32,
@@ -183,26 +142,43 @@ struct Integrator<'p> {
     leak_complexity: f64,
     bd: EnergyBreakdown,
     cycle: u64,
-    profile: Option<ProfileAcc>,
+    /// Per-window energies, accumulated when a profile was asked for.
+    profile: Option<&'p mut PowerProfile>,
 }
 
-/// Accumulates energy per fixed-size cycle window.
-struct ProfileAcc {
-    window_cycles: u64,
-    windows: Vec<f64>,
+impl ActivitySink for Integrator<'_> {
+    fn record(&mut self, r: &InstRecord<'_>) {
+        let before = self.bd.total();
+        self.step(r);
+        if let Some(profile) = &mut self.profile {
+            let delta = (self.bd.total() - before).as_picojoules();
+            let window = (self.cycle / profile.window_cycles) as usize;
+            if profile.windows.len() <= window {
+                profile.windows.resize(window + 1, 0.0);
+            }
+            profile.windows[window] += delta;
+        }
+        self.cycle += u64::from(r.cycles);
+    }
 }
 
 impl<'p> Integrator<'p> {
-    fn new(base: &'p BaseEnergyParams, hw: &'p HwEnergyParams, ext: &'p ExtensionSet) -> Self {
+    fn new(
+        base: &'p BaseEnergyParams,
+        hw: &'p HwEnergyParams,
+        ext: &'p ExtensionSet,
+        profile: Option<&'p mut PowerProfile>,
+    ) -> Self {
         let plans = build_plans(ext);
-        let prev_active_nodes: Vec<Vec<u64>> =
-            plans.iter().map(|p| vec![0u64; p.node_count]).collect();
+        let prev_active_nodes: Vec<Vec<u64>> = plans
+            .iter()
+            .map(|p| vec![0u64; p.graph.node_count()])
+            .collect();
         let idle_nodes = prev_active_nodes.clone();
         let leak_complexity = ext.instantiated_complexity().iter().sum::<f64>();
         Integrator {
             base,
             hw,
-            ext,
             plans,
             prev_word: 0,
             prev_a: 0,
@@ -215,7 +191,7 @@ impl<'p> Integrator<'p> {
             leak_complexity,
             bd: EnergyBreakdown::default(),
             cycle: 0,
-            profile: None,
+            profile,
         }
     }
 
@@ -223,23 +199,7 @@ impl<'p> Integrator<'p> {
         *slot += Energy::from_picojoules(amount);
     }
 
-    fn integrate(&mut self, trace: &[TraceRecord]) {
-        for r in trace {
-            let before = self.bd.total();
-            self.step(r);
-            if let Some(profile) = &mut self.profile {
-                let delta = (self.bd.total() - before).as_picojoules();
-                let window = (self.cycle / profile.window_cycles) as usize;
-                if profile.windows.len() <= window {
-                    profile.windows.resize(window + 1, 0.0);
-                }
-                profile.windows[window] += delta;
-            }
-            self.cycle += u64::from(r.cycles);
-        }
-    }
-
-    fn step(&mut self, r: &TraceRecord) {
+    fn step(&mut self, r: &InstRecord<'_>) {
         let base = self.base;
 
         // Clock tree, pipeline registers and custom-hardware leakage are
@@ -342,7 +302,7 @@ impl<'p> Integrator<'p> {
         // actually executes is charged full per-category activation
         // energy; the idle ones are charged the (clock-gated) coupling
         // energy per toggled net.
-        let executing = r.custom_nodes.as_ref().map(|(id, _)| *id);
+        let executing = r.custom.map(|c| c.id);
         for idx in 0..self.plans.len() {
             if Some(CustomId(idx as u16)) == executing {
                 continue;
@@ -352,8 +312,9 @@ impl<'p> Integrator<'p> {
             }
             self.idle_churn(idx, r.operand_a, r.operand_b);
         }
-        if let Some((id, node_values)) = &r.custom_nodes {
-            let idx = id.0 as usize;
+        if let Some(c) = r.custom {
+            let node_values = c.node_values;
+            let idx = c.id.0 as usize;
             let plan = &self.plans[idx];
             let prev = &mut self.prev_active_nodes[idx];
             let mut datapath = 0.0;
@@ -374,12 +335,6 @@ impl<'p> Integrator<'p> {
     /// values and charges coupling energy for every toggled net.
     fn idle_churn(&mut self, idx: usize, bus_a: u32, bus_b: u32) {
         let plan = &self.plans[idx];
-        // Plans are built from `ext`, so the id resolves by construction;
-        // if it ever didn't, skipping the idle charge degrades the
-        // estimate for one unit instead of aborting the run.
-        let Some(inst) = self.ext.get(CustomId(idx as u16)) else {
-            return;
-        };
         let mut inputs = [0u64; 16];
         for (slot, kind) in inputs.iter_mut().zip(&plan.idle_input_template) {
             *slot = match kind {
@@ -389,8 +344,8 @@ impl<'p> Integrator<'p> {
             };
         }
         let n = plan.idle_input_template.len();
-        if inst
-            .graph()
+        if plan
+            .graph
             .eval_into(&inputs[..n], &mut self.idle_scratch)
             .is_err()
         {
@@ -478,18 +433,21 @@ impl EnergyReport {
     }
 }
 
+/// Cycle budget of the entry points that take none: 2³² cycles.
+const BUDGET: u64 = u32::MAX as u64;
+
 /// The RTL-level reference energy estimator (WattWatcher substitute).
 ///
-/// Estimation is a two-phase flow mirroring the paper's setup: the
-/// detailed pipeline simulation first **materializes a full activity
-/// trace** (ModelSim's role), which is then integrated **cycle by cycle
-/// and net by net** — per-bit bus/fetch toggle counting, per-cycle clock
-/// and leakage accounting, full re-evaluation of every custom datapath's
-/// combinational logic on each instruction's operand-bus values whether
-/// or not its instruction executes (WattWatcher's role). This is
-/// intentionally the *slow, accurate* path of the methodology; the
-/// macro-model exists so that design-space exploration does not have to
-/// run it.
+/// Estimation mirrors the paper's setup in one pass: the detailed
+/// pipeline simulation (ModelSim's role) streams every retired
+/// instruction's activity straight into a net-level integrator, which
+/// charges it **cycle by cycle and net by net** — per-bit bus/fetch
+/// toggle counting, per-cycle clock and leakage accounting, full
+/// re-evaluation of every custom datapath's combinational logic on each
+/// instruction's operand-bus values whether or not its instruction
+/// executes (WattWatcher's role). This is intentionally the *slow,
+/// accurate* path of the methodology; the macro-model exists so that
+/// design-space exploration does not have to run it.
 ///
 /// Construct one (optionally with custom block parameters), then call
 /// [`RtlEnergyEstimator::estimate`] for each program × extended-processor
@@ -536,30 +494,21 @@ impl RtlEnergyEstimator {
         ext: &ExtensionSet,
         config: ProcConfig,
     ) -> Result<EnergyReport, SimError> {
-        self.estimate_bounded(program, ext, config, u64::from(u32::MAX))
+        self.integrate(
+            program,
+            ext,
+            config,
+            BUDGET,
+            None,
+            &mut Collector::disabled(),
+        )
     }
 
-    /// Like [`RtlEnergyEstimator::estimate`] with an explicit cycle budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors, including [`SimError::CycleLimit`].
-    pub fn estimate_bounded(
-        &self,
-        program: &Program,
-        ext: &ExtensionSet,
-        config: ProcConfig,
-        max_cycles: u64,
-    ) -> Result<EnergyReport, SimError> {
-        self.estimate_traced(program, ext, config, max_cycles, &mut Collector::disabled())
-    }
-
-    /// Like [`RtlEnergyEstimator::estimate_bounded`], with both phases
-    /// instrumented on `obs`: an `rtl-activity-trace` span around the
-    /// detailed simulation, an `rtl-energy-integration` span around the
-    /// net-level integration, and `rtl.trace_records` / `rtl.energy_pj`
-    /// counters. A disabled collector makes this identical to
-    /// [`RtlEnergyEstimator::estimate_bounded`] (which delegates here).
+    /// Like [`RtlEnergyEstimator::estimate`] with an explicit cycle
+    /// budget, instrumented on `obs`: an `rtl-energy-integration` span
+    /// around the simulation and its integration, and an `rtl.energy_pj`
+    /// counter. A disabled collector makes this identical to
+    /// [`RtlEnergyEstimator::estimate`] at the same budget.
     ///
     /// # Errors
     ///
@@ -572,27 +521,7 @@ impl RtlEnergyEstimator {
         max_cycles: u64,
         obs: &mut Collector,
     ) -> Result<EnergyReport, SimError> {
-        // Phase 1: detailed simulation → materialized activity trace.
-        let span = obs.begin("rtl-activity-trace");
-        let mut sim = Interp::new(program, ext, config);
-        let mut collector = TraceCollector { trace: Vec::new() };
-        let run = sim.run_with_sink(&mut collector, max_cycles);
-        obs.end(span);
-        let run = run?;
-        obs.add("rtl.trace_records", collector.trace.len() as f64);
-
-        // Phase 2: cycle-by-cycle, net-by-net energy integration.
-        let span = obs.begin("rtl-energy-integration");
-        let mut integrator = Integrator::new(&self.base, &self.hw, ext);
-        integrator.integrate(&collector.trace);
-        obs.end(span);
-        obs.add("rtl.energy_pj", integrator.bd.total().as_picojoules());
-
-        Ok(EnergyReport {
-            total: integrator.bd.total(),
-            breakdown: integrator.bd,
-            stats: run.stats,
-        })
+        self.integrate(program, ext, config, max_cycles, None, obs)
     }
 
     /// Like [`RtlEnergyEstimator::estimate`], additionally returning the
@@ -614,44 +543,51 @@ impl RtlEnergyEstimator {
         window_cycles: u64,
     ) -> Result<(EnergyReport, PowerProfile), SimError> {
         assert!(window_cycles > 0, "window size must be nonzero");
-        let mut sim = Interp::new(program, ext, config);
-        let mut collector = TraceCollector { trace: Vec::new() };
-        let run = sim.run_with_sink(&mut collector, u64::from(u32::MAX))?;
-
-        let mut integrator = Integrator::new(&self.base, &self.hw, ext);
-        integrator.profile = Some(ProfileAcc {
+        let mut profile = PowerProfile {
             window_cycles,
             windows: Vec::new(),
-        });
-        integrator.integrate(&collector.trace);
-
-        // Installed a few lines above; an empty profile is the harmless
-        // degradation if that ever changes.
-        let profile = match integrator.profile.take() {
-            Some(p) => PowerProfile {
-                window_cycles: p.window_cycles,
-                windows: p.windows,
-            },
-            None => PowerProfile {
-                window_cycles,
-                windows: Vec::new(),
-            },
         };
-        Ok((
-            EnergyReport {
-                total: integrator.bd.total(),
-                breakdown: integrator.bd,
-                stats: run.stats,
-            },
-            profile,
-        ))
+        let report = self.integrate(
+            program,
+            ext,
+            config,
+            BUDGET,
+            Some(&mut profile),
+            &mut Collector::disabled(),
+        )?;
+        Ok((report, profile))
+    }
+
+    /// The one run path: simulates `program` with the integrator as its
+    /// activity sink, filling `profile` if one is given.
+    fn integrate(
+        &self,
+        program: &Program,
+        ext: &ExtensionSet,
+        config: ProcConfig,
+        max_cycles: u64,
+        profile: Option<&mut PowerProfile>,
+        obs: &mut Collector,
+    ) -> Result<EnergyReport, SimError> {
+        let span = obs.begin("rtl-energy-integration");
+        let mut integrator = Integrator::new(&self.base, &self.hw, ext, profile);
+        let run = Interp::new(program, ext, config).run_with_sink(&mut integrator, max_cycles);
+        obs.end(span);
+        let run = run?;
+        let total = integrator.bd.total();
+        obs.add("rtl.energy_pj", total.as_picojoules());
+        Ok(EnergyReport {
+            total,
+            breakdown: integrator.bd,
+            stats: run.stats,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emx_hwlib::{DfGraph, PrimOp};
+    use emx_hwlib::PrimOp;
     use emx_isa::asm::Assembler;
     use emx_tie::ExtensionBuilder;
 
@@ -800,6 +736,12 @@ mod tests {
             "profile must conserve energy"
         );
         assert_eq!(profile.window_cycles(), 100);
+        // Profiling must not change the estimate, to the bit: `Debug`
+        // prints every f64 in its shortest round-trip form.
+        let plain = RtlEnergyEstimator::new()
+            .estimate(&program, &ext, ProcConfig::default())
+            .unwrap();
+        assert_eq!(format!("{report:?}"), format!("{plain:?}"));
         assert!(profile.peak_power_mw(187.0) >= profile.average_power_mw(187.0));
         assert!(profile.average_power_mw(187.0) > 10.0);
     }
@@ -851,12 +793,8 @@ mod tests {
 
         let spans = obs.spans();
         let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["rtl-activity-trace", "rtl-energy-integration"]);
-        assert_eq!(
-            obs.counter("rtl.trace_records"),
-            plain.stats.inst_count as f64
-        );
-        assert!(obs.counter("rtl.energy_pj") > 0.0);
+        assert_eq!(names, ["rtl-energy-integration"]);
+        assert_eq!(obs.counter("rtl.energy_pj"), plain.total.as_picojoules());
     }
 
     #[test]

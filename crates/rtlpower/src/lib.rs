@@ -5,9 +5,9 @@
 //! RTL of the extended processor in ModelSim and feeding the traces to a
 //! commercial RTL power estimator (Sente WattWatcher). Both tools are
 //! proprietary, so this crate provides the substitute: a **structural,
-//! per-activity energy integrator** that walks the detailed activity
-//! trace of [`emx_sim::Interp::run_with_sink`] and charges every hardware block of
-//! the processor for what it did each cycle:
+//! per-activity energy integrator** that consumes the activity records of
+//! [`emx_sim::Interp::run_with_sink`] as they stream out (no trace is
+//! stored) and charges every hardware block for what it did each cycle:
 //!
 //! * clock tree and pipeline registers (every cycle, including stalls),
 //! * instruction fetch + I-cache arrays, with Hamming-distance switching

@@ -86,9 +86,10 @@ pub struct InstRecord<'a> {
 
 /// Consumer of the ISS activity stream ([`crate::Interp::run_with_sink`]).
 ///
-/// The reference energy estimator implements this; tests use it to capture
-/// traces. Records borrow from simulator-internal buffers, so a sink that
-/// needs to keep data must copy it out.
+/// The reference energy estimator's integrator implements this, charging
+/// each record as it arrives; tests use it to capture traces. Records
+/// borrow from simulator-internal buffers, so a sink that needs to keep
+/// data must copy it out.
 pub trait ActivitySink {
     /// `false` for sinks that ignore records; lets the simulator skip
     /// building them entirely.

@@ -1,4 +1,5 @@
-//! Differential suite for the ISS against a frozen golden.
+//! Differential suite for the ISS and the reference estimator against a
+//! frozen golden.
 //!
 //! `tests/golden/iss-golden.txt` holds what the retired single-step
 //! interpreter observed on every input below: for each entry, FNV-1a
@@ -16,6 +17,13 @@
 //! name, so the generated programs are fixed). A generated case with no
 //! golden entry fails; it is never skipped.
 //!
+//! The `reference/*` entries pin the RTL reference estimator on the 63
+//! training programs and the Table II applications: one FNV-1a digest
+//! over the f64 bits of the total, of every `EnergyBreakdown` field and
+//! of every window of a 256-cycle power profile. The validate golden
+//! fixes only the training totals, so these catch a reordered
+//! floating-point sum in any block or window.
+//!
 //! Regenerate only after a deliberate semantics change:
 //! `cargo test --release --test differential -- --ignored`.
 
@@ -25,6 +33,7 @@ use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 use emx::isa::{encode, Program, Reg};
+use emx::rtlpower::RtlEnergyEstimator;
 use emx::sim::{
     ActivitySink, ExecStats, InstKind, InstRecord, Interp, ProcConfig, RunResult, SimError,
 };
@@ -215,7 +224,12 @@ fn golden() -> &'static BTreeMap<String, String> {
 /// Checks `w` against the golden entry `key` (or records it while
 /// blessing).
 fn check(key: &str, w: &Workload, config: &ProcConfig, budget: u64) {
-    let line = observe(w, config, budget);
+    check_line(key, observe(w, config, budget));
+}
+
+/// Checks `line` against the golden entry `key` (or records it while
+/// blessing).
+fn check_line(key: &str, line: String) {
     let blessed = BLESSING.with(|b| {
         b.borrow_mut().as_mut().map(|map| {
             if let Some(old) = map.insert(key.to_owned(), line.clone()) {
@@ -231,20 +245,61 @@ fn check(key: &str, w: &Workload, config: &ProcConfig, budget: u64) {
     }
 }
 
-/// Every committed workload — the full 63-program training suite plus
-/// the Table II applications — reproduces the legacy interpreter's
-/// frozen stats, state and activity stream.
-#[test]
-fn micro_op_engine_matches_legacy_on_every_committed_workload() {
+/// The full 63-program training suite plus the Table II applications.
+fn committed_workloads() -> Vec<Workload> {
     let mut all = suite::full_training_suite();
     all.extend(emx::workloads::apps::all());
     assert!(all.len() >= 63 + 5, "the committed corpus shrank");
-    for w in &all {
+    all
+}
+
+/// Every committed workload reproduces the legacy interpreter's frozen
+/// stats, state and activity stream.
+#[test]
+fn micro_op_engine_matches_legacy_on_every_committed_workload() {
+    for w in &committed_workloads() {
         check(
             &format!("workload/{}", w.name()),
             w,
             &ProcConfig::default(),
             BUDGET,
+        );
+    }
+}
+
+/// Every committed workload reproduces the reference estimator's frozen
+/// total, per-block breakdown and 256-cycle power profile, bit for bit.
+#[test]
+fn reference_estimator_matches_the_golden_on_every_committed_workload() {
+    let estimator = RtlEnergyEstimator::new();
+    for w in &committed_workloads() {
+        let (report, profile) = estimator
+            .estimate_profiled(w.program(), w.ext(), ProcConfig::default(), 256)
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
+        let b = &report.breakdown;
+        let mut h = Fnv::new();
+        for e in [
+            report.total,
+            b.clock,
+            b.fetch,
+            b.decode,
+            b.regfile,
+            b.buses,
+            b.execute,
+            b.dmem,
+            b.stall,
+            b.custom,
+            b.control,
+            b.leakage,
+        ]
+        .into_iter()
+        .chain(profile.windows())
+        {
+            h.u64(e.as_picojoules().to_bits());
+        }
+        check_line(
+            &format!("reference/{}", w.name()),
+            format!("energy={:016x}", h.0),
         );
     }
 }
@@ -310,15 +365,16 @@ fn error_paths_and_zero_cost_branches_match_the_golden() {
     );
 }
 
-/// Regenerates `tests/golden/iss-golden.txt` from the current engine by
-/// running every golden-checking test in record mode. Run only after a
-/// deliberate semantics change:
+/// Regenerates `tests/golden/iss-golden.txt` from the current engine and
+/// reference estimator by running every golden-checking test in record
+/// mode. Run only after a deliberate semantics change:
 /// `cargo test --release --test differential -- --ignored`.
 #[test]
 #[ignore = "rewrites the ISS golden"]
 fn bless_iss_golden() {
     BLESSING.with(|b| *b.borrow_mut() = Some(BTreeMap::new()));
     micro_op_engine_matches_legacy_on_every_committed_workload();
+    reference_estimator_matches_the_golden_on_every_committed_workload();
     engines_agree_under_starved_cycle_budgets();
     error_paths_and_zero_cost_branches_match_the_golden();
     engines_agree_on_generated_programs();
@@ -328,7 +384,8 @@ fn bless_iss_golden() {
         .expect("blessing map");
     let mut text = String::from(
         "# ISS golden: FNV-1a digests of ExecStats::to_json(), the final state and the\n\
-         # InstRecord stream per input. Regenerate: see tests/differential.rs.\n",
+         # InstRecord stream per input; reference/* digest the RTL reference estimator's\n\
+         # total, breakdown and power profile. Regenerate: see tests/differential.rs.\n",
     );
     for (key, line) in &map {
         let _ = writeln!(text, "{key} {line}");

@@ -141,7 +141,7 @@ fn chrome_trace_is_valid_trace_event_json_with_monotone_timestamps() {
     assert_eq!(depth, 0, "unbalanced B/E span events");
 
     // The run must record both pipeline phases the CLI wraps in spans.
-    for expected in ["iss-simulate", "rtl-activity-trace"] {
+    for expected in ["iss-simulate", "rtl-energy-integration"] {
         assert!(
             phase_names.iter().any(|n| n == expected),
             "span `{expected}` missing from trace (got {phase_names:?})"
